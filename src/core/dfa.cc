@@ -36,16 +36,11 @@ std::vector<hdt::NodeId> ApplyStep(const hdt::Hdt& tree,
                                    dsl::ColOp op, hdt::TagId tag,
                                    int32_t pos) {
   std::vector<hdt::NodeId> next;
-  const bool frozen = tree.frozen();
   switch (op) {
     case dsl::ColOp::kChildren:
-      if (frozen) {
-        for (hdt::NodeId n : s) {
-          auto sp = tree.ChildrenWithTagSpan(n, tag);
-          next.insert(next.end(), sp.begin(), sp.end());
-        }
-      } else {
-        for (hdt::NodeId n : s) tree.ChildrenWithTag(n, tag, &next);
+      for (hdt::NodeId n : s) {
+        auto sp = tree.ChildrenWithTag(n, tag);
+        next.insert(next.end(), sp.begin(), sp.end());
       }
       break;
     case dsl::ColOp::kPChildren:
@@ -55,13 +50,9 @@ std::vector<hdt::NodeId> ApplyStep(const hdt::Hdt& tree,
       }
       break;
     case dsl::ColOp::kDescendants:
-      if (frozen) {
-        for (hdt::NodeId n : s) {
-          auto sp = tree.DescendantsWithTagSpan(n, tag);
-          next.insert(next.end(), sp.begin(), sp.end());
-        }
-      } else {
-        for (hdt::NodeId n : s) tree.DescendantsWithTag(n, tag, &next);
+      for (hdt::NodeId n : s) {
+        auto sp = tree.DescendantsWithTag(n, tag);
+        next.insert(next.end(), sp.begin(), sp.end());
       }
       break;
   }
@@ -104,7 +95,7 @@ Result<Dfa> ConstructColumnDfa(const hdt::Hdt& tree,
   };
   std::vector<Sym> alphabet;
   for (hdt::TagId t : tree.AllTags()) {
-    const std::string& name = tree.TagName(t);
+    const std::string name(tree.TagName(t));
     alphabet.push_back(
         {pool->Intern({dsl::ColOp::kChildren, name, 0}), dsl::ColOp::kChildren,
          t, 0});
@@ -114,7 +105,7 @@ Result<Dfa> ConstructColumnDfa(const hdt::Hdt& tree,
   for (auto [t, pos] : tree.AllTagPosPairs()) {
     if (pos >= opts.max_pchildren_pos) continue;
     alphabet.push_back({pool->Intern({dsl::ColOp::kPChildren,
-                                      tree.TagName(t), pos}),
+                                      std::string(tree.TagName(t)), pos}),
                         dsl::ColOp::kPChildren, t, pos});
   }
 

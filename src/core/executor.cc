@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -26,31 +25,17 @@ bool IsUnary(const Atom& a) {
 }
 
 /// Join key for equality semantics (Fig. 7): identical keys ⇔ the Eq atom
-/// holds between the two nodes. Leaves key on canonicalized data (numeric
-/// values normalized so "3" and "3.0" collide exactly when CompareData
-/// calls them equal); internal nodes key on identity. The leading tag
-/// byte keeps leaf/internal keys from ever matching each other, mirroring
-/// the semantics' "mixed comparison is false".
-std::string JoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
-  if (!tree.IsLeaf(n)) return "I:" + std::to_string(n);
-  std::string_view data = tree.Data(n);
-  if (auto num = ParseNumber(data)) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "N:%.17g", *num);
-    return buf;
-  }
-  return "S:" + std::string(data);
-}
-
-/// 128-bit join key for frozen trees — the same equivalence classes as the
-/// string JoinKey, with no formatting or allocation: (kind, payload) where
-/// kind 0 = internal node (payload: node id), kind 1 = numeric leaf
-/// (payload: the parsed double's bit pattern — ParseNumber only yields
-/// finite values, so there is no NaN != NaN hazard, and distinct patterns
-/// such as -0.0 vs 0.0 also render distinctly under %.17g, so bit equality
-/// coincides with rendered-string equality), kind 2 = non-numeric leaf
-/// (payload: dictionary id; dataless leaves and ""-valued leaves share a
-/// sentinel payload, as both render "S:").
+/// holds between the two nodes. A key is (kind, payload), with no
+/// formatting or allocation:
+///  - kind 0, internal node: payload is the node id (identity);
+///  - kind 1, numeric leaf: payload is the parsed double's bit pattern, so
+///    "3" and "3.0" collide (ParseNumber only yields finite values, so
+///    there is no NaN != NaN hazard; -0.0 and 0.0 get distinct keys);
+///  - kind 2, non-numeric leaf: payload is the dictionary id; dataless
+///    leaves and ""-valued leaves share a sentinel, as both compare equal
+///    to "".
+/// Distinct kinds never match, mirroring the semantics' "mixed comparison
+/// is false".
 struct U128Key {
   uint64_t kind;
   uint64_t payload;
@@ -64,55 +49,40 @@ struct U128KeyHash {
   }
 };
 
-U128Key FrozenJoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
+U128Key JoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
   if (!tree.IsLeaf(n)) {
     return {0, static_cast<uint64_t>(static_cast<uint32_t>(n))};
   }
   std::string_view data = tree.Data(n);
   if (data.empty()) return {2, ~uint64_t{0}};
   hdt::DataId d = tree.GetDataId(n);
-  if (tree.DictIsNumber(d)) {
-    double num = tree.DictNumber(d);
+  if (const std::optional<double>& num = tree.DictNumber(d)) {
     uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(num));
-    std::memcpy(&bits, &num, sizeof(bits));
+    static_assert(sizeof(bits) == sizeof(*num));
+    std::memcpy(&bits, &*num, sizeof(bits));
     return {1, bits};
   }
   return {2, static_cast<uint64_t>(static_cast<uint32_t>(d))};
 }
 
-/// Hash-join index over node keys. Frozen trees key on U128Key (integer
-/// compares, one dictionary lookup per probe); unfrozen trees keep the
-/// legacy string keys. Built single-threaded, then probed concurrently
+/// Hash-join index over node keys (integer compares, one dictionary
+/// lookup per probe). Built single-threaded, then probed concurrently
 /// from the parallel enumeration (Find is const).
 class JoinIndex {
  public:
-  explicit JoinIndex(bool frozen) : frozen_(frozen) {}
-
   void Add(const hdt::Hdt& tree, hdt::NodeId key_node, hdt::NodeId value) {
-    if (frozen_) {
-      MITRA_COUNT("exec/join/frozen_keys", 1);
-      by_id_[FrozenJoinKey(tree, key_node)].push_back(value);
-    } else {
-      MITRA_COUNT("exec/join/string_keys", 1);
-      by_string_[JoinKey(tree, key_node)].push_back(value);
-    }
+    MITRA_COUNT("exec/join/keys", 1);
+    by_key_[JoinKey(tree, key_node)].push_back(value);
   }
 
   const std::vector<hdt::NodeId>* Find(const hdt::Hdt& tree,
                                        hdt::NodeId key_node) const {
-    if (frozen_) {
-      auto it = by_id_.find(FrozenJoinKey(tree, key_node));
-      return it == by_id_.end() ? nullptr : &it->second;
-    }
-    auto it = by_string_.find(JoinKey(tree, key_node));
-    return it == by_string_.end() ? nullptr : &it->second;
+    auto it = by_key_.find(JoinKey(tree, key_node));
+    return it == by_key_.end() ? nullptr : &it->second;
   }
 
  private:
-  bool frozen_;
-  std::unordered_map<U128Key, std::vector<hdt::NodeId>, U128KeyHash> by_id_;
-  std::unordered_map<std::string, std::vector<hdt::NodeId>> by_string_;
+  std::unordered_map<U128Key, std::vector<hdt::NodeId>, U128KeyHash> by_key_;
 };
 
 bool CmpHolds(CmpOp op, int cmp) {
@@ -300,19 +270,17 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
   // empty clause) or constant-false (no clauses).
   if (program_.formula.clauses.empty()) return out;
 
-  // Dictionary-memoized constant predicates (frozen trees only): each
-  // unary `path(col) op const` literal compares against a given distinct
-  // leaf value once; later occurrences are a per-(atom, dict id) table
-  // lookup. Constant atoms are always unary (IsUnary), so they are only
-  // evaluated in the sequential filter phase below — the memo needs no
-  // synchronization.
-  std::vector<std::vector<int8_t>> const_truth;
-  if (tree.frozen()) const_truth.resize(program_.atoms.size());
+  // Dictionary-memoized constant predicates: each unary `path(col) op
+  // const` literal compares against a given distinct leaf value once;
+  // later occurrences are a per-(atom, dict id) table lookup. Constant
+  // atoms are always unary (IsUnary), so they are only evaluated in the
+  // sequential filter phase below — the memo needs no synchronization.
+  std::vector<std::vector<int8_t>> const_truth(program_.atoms.size());
   auto eval_unary_literal = [&](const Literal& lit,
                                 const dsl::NodeTuple& probe) {
     const Atom& a = program_.atoms[lit.atom];
     bool v;
-    if (!const_truth.empty() && a.rhs_is_const) {
+    if (a.rhs_is_const) {
       v = false;
       if (a.lhs_col >= 0 && static_cast<size_t>(a.lhs_col) < probe.size()) {
         hdt::NodeId n1 = dsl::EvalNodeExtractor(
@@ -363,7 +331,7 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     if (clause_empty) continue;
 
     // Hash-join indexes: per level with a driver, key → candidate nodes.
-    std::vector<JoinIndex> index(k, JoinIndex(tree.frozen()));
+    std::vector<JoinIndex> index(k);
     for (size_t l = 0; l < k; ++l) {
       const LevelPlan& lp = plan.levels[l];
       if (!lp.has_driver) continue;

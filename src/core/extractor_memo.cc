@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/strings.h"
 #include "dsl/eval.h"
 #include "obs/obs.h"
 
@@ -16,16 +15,9 @@ TargetFacts FactsFor(const hdt::Hdt& tree, hdt::NodeId node) {
   tf.is_leaf = tree.IsLeaf(node);
   tf.has_data = tree.HasData(node);
   tf.data = tree.Data(node);
-  if (tf.has_data) {
-    tf.data_id = tree.GetDataId(node);
-    // On a frozen tree the parse result is precomputed per dictionary
-    // entry; fall back to parsing for unfrozen trees.
-    if (tf.data_id != hdt::kInvalidData) {
-      if (tree.DictIsNumber(tf.data_id)) tf.number = tree.DictNumber(tf.data_id);
-    } else {
-      tf.number = ParseNumber(tf.data);
-    }
-  }
+  tf.data_id = tree.GetDataId(node);
+  // The parse result is precomputed per dictionary entry.
+  if (tf.has_data) tf.number = tree.DictNumber(tf.data_id);
   return tf;
 }
 

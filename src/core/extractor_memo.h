@@ -48,8 +48,8 @@ struct TargetFacts {
   bool has_data = false;
   std::string_view data;
   std::optional<double> number;
-  /// Dictionary id of `data` when the source tree is frozen, else
-  /// hdt::kInvalidData. Enables 32-bit equality in atom evaluation.
+  /// Dictionary id of `data`, or hdt::kInvalidData when the node has no
+  /// data. Enables 32-bit equality in atom evaluation.
   hdt::DataId data_id = hdt::kInvalidData;
 };
 

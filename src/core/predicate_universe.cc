@@ -55,9 +55,9 @@ bool ApplyCmp(CmpOp op, int cmp) {
 }
 
 /// Fig. 7 semantics of a node-node comparison on pre-extracted facts.
-/// Both facts come from the same example tree, so when dictionary ids are
-/// present (frozen tree) string equality is id equality — but only on the
-/// non-numeric path: "3" and "3.0" have distinct ids yet compare equal
+/// Both facts come from the same example tree, so when both carry data
+/// string equality is dictionary-id equality — but only on the non-numeric
+/// path: "3" and "3.0" have distinct ids yet compare equal
 /// numerically, so the numeric branch must win first.
 bool EvalNodeNode(CmpOp op, const TargetFacts& a, const TargetFacts& b) {
   if (a.is_leaf && b.is_leaf) {
@@ -71,15 +71,10 @@ bool EvalNodeNode(CmpOp op, const TargetFacts& a, const TargetFacts& b) {
   return false;
 }
 
-/// Sentinels for the constant's per-example dictionary id (see rule 4):
-/// kConstNoDict — the example tree is unfrozen, compare strings;
-/// kConstAbsent — frozen tree whose dictionary lacks the constant, so an
-/// equality against any data-bearing node is false without comparing.
-inline constexpr hdt::DataId kConstNoDict = -1;
-inline constexpr hdt::DataId kConstAbsent = -2;
-
 /// Fig. 7 semantics of a node-constant comparison. `c_id` is the
-/// constant's dictionary id in the *same* tree the facts came from.
+/// constant's dictionary id in the *same* tree the facts came from, or
+/// kInvalidData when no leaf of that tree holds it — then an equality
+/// against any data-bearing node is false without comparing.
 bool EvalNodeConst(CmpOp op, const TargetFacts& a, std::string_view c,
                    const std::optional<double>& c_num, hdt::DataId c_id) {
   if (!a.has_data) return false;
@@ -87,10 +82,7 @@ bool EvalNodeConst(CmpOp op, const TargetFacts& a, std::string_view c,
     int cmp = *a.number < *c_num ? -1 : (*a.number > *c_num ? 1 : 0);
     return ApplyCmp(op, cmp);
   }
-  if (op == CmpOp::kEq && a.data_id != hdt::kInvalidData &&
-      c_id != kConstNoDict) {
-    return a.data_id == c_id;  // kConstAbsent never equals a real id
-  }
+  if (op == CmpOp::kEq) return a.data_id == c_id;
   int r = a.data.compare(c);
   return ApplyCmp(op, r < 0 ? -1 : (r > 0 ? 1 : 0));
 }
@@ -307,18 +299,14 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
     const hdt::Hdt& tree = *examples[e].tree;
     constant_ids[e].reserve(constants->size());
     for (const std::string& c : *constants) {
-      if (!tree.frozen()) {
-        constant_ids[e].push_back(kConstNoDict);
-      } else if (auto d = tree.LookupDataId(c)) {
+      if (auto d = tree.LookupDataId(c)) {
         constant_ids[e].push_back(*d);
         ++dict_fastpath;
       } else {
-        constant_ids[e].push_back(kConstAbsent);
+        constant_ids[e].push_back(hdt::kInvalidData);
       }
     }
   }
-  // Zero whenever every example tree is unfrozen (the id fast path only
-  // exists on frozen dictionaries) — asserted by metrics_invariant_test.
   MITRA_COUNT("predicate/universe/dict_fastpath", dict_fastpath);
 
   std::vector<CmpOp> ops{CmpOp::kEq};

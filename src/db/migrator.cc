@@ -52,19 +52,18 @@ class KeyHasher {
 std::string ProgramCacheKey(const hdt::Hdt& tree, const hdt::Table& example) {
   KeyHasher h;
   h.Bytes(dsl::kDslVersion);
-  // Tree structure + data. Node ids are assigned in construction order by
-  // the parsers, so two textually-equal documents hash identically; the
-  // parent/flags framing makes structurally different trees collide only
-  // by genuine 128-bit accident (and hits are re-verified anyway).
+  // Tree structure + data. Node ids are preorder ranks, so two
+  // textually-equal documents hash identically; the parent/flags framing
+  // makes structurally different trees collide only by genuine 128-bit
+  // accident (and hits are re-verified anyway).
   h.Int(tree.size());
   for (hdt::NodeId id = 0; id < static_cast<hdt::NodeId>(tree.size()); ++id) {
-    const hdt::Node& n = tree.node(id);
     h.Bytes(tree.NodeTagName(id));
-    h.Int(static_cast<std::uint64_t>(n.parent + 1));
-    h.Int(static_cast<std::uint64_t>(n.pos));
-    h.Int((n.has_data ? 1u : 0u) | (n.is_attribute ? 2u : 0u) |
-          (n.is_text_run ? 4u : 0u));
-    if (n.has_data) h.Bytes(n.data);
+    h.Int(static_cast<std::uint64_t>(tree.Parent(id) + 1));
+    h.Int(static_cast<std::uint64_t>(tree.Pos(id)));
+    h.Int((tree.HasData(id) ? 1u : 0u) | (tree.IsAttribute(id) ? 2u : 0u) |
+          (tree.IsTextRun(id) ? 4u : 0u));
+    if (tree.HasData(id)) h.Bytes(tree.Data(id));
   }
   // Expected table (row order matters for neither synthesis nor
   // verification, but hashing it verbatim is simplest and examples are
@@ -87,14 +86,10 @@ std::string KeyOf(int doc_index, const dsl::NodeTuple& nodes) {
 }
 
 Status Migrator::Learn(
-    hdt::Hdt& example_tree,
+    const hdt::Hdt& example_tree,
     const std::map<std::string, hdt::Table>& table_examples,
     const MigratorOptions& opts) {
   MITRA_RETURN_IF_ERROR(schema_.Validate());
-  // One index build per document, shared by every table's synthesis and
-  // by foreign-key learning. Non-compact: the caller may still read
-  // Node::children directly.
-  example_tree.FreezeIndex(/*compact=*/false);
   programs_.clear();
   fk_plans_.clear();
   example_tuples_.clear();
@@ -335,9 +330,8 @@ Status Migrator::InstallLearnedProgram(const std::string& table,
   return Status::OK();
 }
 
-Result<Database> Migrator::Execute(hdt::Hdt& doc, int doc_index,
+Result<Database> Migrator::Execute(const hdt::Hdt& doc, int doc_index,
                                    const MigratorOptions& opts) const {
-  doc.FreezeIndex(/*compact=*/false);
   Database db;
   // Cross-table memoization (§9): the per-table programs run over the
   // same document and share column extractions through one cache.
@@ -799,11 +793,10 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
 }
 
 Result<MigrationReport> Migrator::LearnTolerant(
-    hdt::Hdt& example_tree,
+    const hdt::Hdt& example_tree,
     const std::map<std::string, hdt::Table>& table_examples,
     const MigratorOptions& opts) {
   MITRA_RETURN_IF_ERROR(schema_.Validate());
-  example_tree.FreezeIndex(/*compact=*/false);
   programs_.clear();
   fk_plans_.clear();
   example_tuples_.clear();
@@ -884,10 +877,9 @@ Result<MigrationReport> Migrator::LearnTolerant(
   return report;
 }
 
-Database Migrator::ExecuteTolerant(const std::vector<hdt::Hdt*>& docs,
+Database Migrator::ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
                                    MigrationReport* report,
                                    const MigratorOptions& opts) const {
-  for (hdt::Hdt* doc : docs) doc->FreezeIndex(/*compact=*/false);
   MigrationReport scratch;
   if (report == nullptr) report = &scratch;
 
@@ -976,7 +968,7 @@ Database Migrator::ExecuteTolerant(const std::vector<hdt::Hdt*>& docs,
   return db;
 }
 
-Result<Database> Migrator::ExecuteAll(const std::vector<hdt::Hdt*>& docs,
+Result<Database> Migrator::ExecuteAll(const std::vector<const hdt::Hdt*>& docs,
                                       const MigratorOptions& opts) const {
   Database merged;
   for (size_t d = 0; d < docs.size(); ++d) {

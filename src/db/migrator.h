@@ -163,13 +163,9 @@ struct MigrationReport {
   std::string ToJson() const;
 };
 
-/// Learns and executes a whole-database migration.
-///
-/// Documents are passed by mutable reference: every entry point freezes
-/// the tree's succinct index once (`Hdt::FreezeIndex(compact=false)`), so
-/// it is built a single time per document and shared across all tables'
-/// executions and foreign-key learning. Non-compact freezing keeps the
-/// per-node child vectors valid for callers that read them directly.
+/// Learns and executes a whole-database migration. Documents are read
+/// only: a tree is indexed when it is built, so every table's execution
+/// and foreign-key learning share that one index.
 class Migrator {
  public:
   explicit Migrator(DatabaseSchema schema) : schema_(std::move(schema)) {}
@@ -178,17 +174,17 @@ class Migrator {
   /// document plus, per table, the expected *data columns* (key columns
   /// are generated, so they do not appear in examples). All tables must
   /// be present.
-  Status Learn(hdt::Hdt& example_tree,
+  Status Learn(const hdt::Hdt& example_tree,
                const std::map<std::string, hdt::Table>& table_examples,
                const MigratorOptions& opts = {});
 
   /// Migrates one document, producing all tables with generated keys.
   /// `doc_index` disambiguates keys across multi-document datasets.
-  Result<Database> Execute(hdt::Hdt& doc, int doc_index = 0,
+  Result<Database> Execute(const hdt::Hdt& doc, int doc_index = 0,
                            const MigratorOptions& opts = {}) const;
 
   /// Migrates a set of documents into one database.
-  Result<Database> ExecuteAll(const std::vector<hdt::Hdt*>& docs,
+  Result<Database> ExecuteAll(const std::vector<const hdt::Hdt*>& docs,
                               const MigratorOptions& opts = {}) const;
 
   /// Fault-tolerant Learn with per-table isolation and a degradation
@@ -198,7 +194,7 @@ class Migrator {
   /// in the report and do not prevent other tables from being learned.
   /// A table whose foreign key references a failed table is kSkipped.
   Result<MigrationReport> LearnTolerant(
-      hdt::Hdt& example_tree,
+      const hdt::Hdt& example_tree,
       const std::map<std::string, hdt::Table>& table_examples,
       const MigratorOptions& opts = {});
 
@@ -209,7 +205,7 @@ class Migrator {
   /// the failing table. `report` entries are matched by table name and
   /// created when missing (e.g. after a strict Learn); pass nullptr to
   /// discard the per-table records.
-  Database ExecuteTolerant(const std::vector<hdt::Hdt*>& docs,
+  Database ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
                            MigrationReport* report,
                            const MigratorOptions& opts = {}) const;
 

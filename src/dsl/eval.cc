@@ -14,48 +14,41 @@ std::vector<hdt::NodeId> EvalColumnFrom(
   // Scratch reused across steps (swap-and-clear): the per-step allocation
   // dominated profile on long extractors over large documents.
   std::vector<hdt::NodeId> next;
-  const bool frozen = tree.frozen();
   for (const ColStep& st : pi.steps) {
     next.clear();
     auto tag = tree.LookupTag(st.tag);
     if (!tag) return {};  // tag absent from this tree: empty set
     switch (st.op) {
-      case ColOp::kChildren:
-        if (frozen) {
-          size_t total = 0;
-          for (hdt::NodeId n : cur) {
-            total += tree.ChildrenWithTagSpan(n, *tag).size();
-          }
-          next.reserve(total);
-          for (hdt::NodeId n : cur) {
-            auto s = tree.ChildrenWithTagSpan(n, *tag);
-            next.insert(next.end(), s.begin(), s.end());
-          }
-        } else {
-          for (hdt::NodeId n : cur) tree.ChildrenWithTag(n, *tag, &next);
+      case ColOp::kChildren: {
+        size_t total = 0;
+        for (hdt::NodeId n : cur) {
+          total += tree.ChildrenWithTag(n, *tag).size();
+        }
+        next.reserve(total);
+        for (hdt::NodeId n : cur) {
+          auto s = tree.ChildrenWithTag(n, *tag);
+          next.insert(next.end(), s.begin(), s.end());
         }
         break;
+      }
       case ColOp::kPChildren:
         for (hdt::NodeId n : cur) {
           hdt::NodeId c = tree.ChildWithTagPos(n, *tag, st.pos);
           if (c != hdt::kInvalidNode) next.push_back(c);
         }
         break;
-      case ColOp::kDescendants:
-        if (frozen) {
-          size_t total = 0;
-          for (hdt::NodeId n : cur) {
-            total += tree.DescendantsWithTagSpan(n, *tag).size();
-          }
-          next.reserve(total);
-          for (hdt::NodeId n : cur) {
-            auto s = tree.DescendantsWithTagSpan(n, *tag);
-            next.insert(next.end(), s.begin(), s.end());
-          }
-        } else {
-          for (hdt::NodeId n : cur) tree.DescendantsWithTag(n, *tag, &next);
+      case ColOp::kDescendants: {
+        size_t total = 0;
+        for (hdt::NodeId n : cur) {
+          total += tree.DescendantsWithTag(n, *tag).size();
+        }
+        next.reserve(total);
+        for (hdt::NodeId n : cur) {
+          auto s = tree.DescendantsWithTag(n, *tag);
+          next.insert(next.end(), s.begin(), s.end());
         }
         break;
+      }
     }
     // Set semantics: sort (document order) and dedup. Children of distinct
     // parents are distinct, but descendants of overlapping subtrees are not.

@@ -12,7 +12,7 @@ namespace mitra::dsl {
 namespace {
 
 /// Name of a node's tag, by string.
-const std::string& TagOf(const hdt::Hdt& t, hdt::NodeId id) {
+std::string_view TagOf(const hdt::Hdt& t, hdt::NodeId id) {
   return t.NodeTagName(id);
 }
 
@@ -180,7 +180,7 @@ hdt::NodeId ReferenceEvalNodeExtractor(const hdt::Hdt& tree,
     if (n == hdt::kInvalidNode) return hdt::kInvalidNode;
     switch (st.op) {
       case NodeOp::kParent:
-        n = tree.node(n).parent;
+        n = tree.Parent(n);
         break;
       case NodeOp::kChild:
         n = NamedChildAt(tree, n, st.tag, st.pos);
@@ -249,8 +249,7 @@ Result<hdt::Table> ReferenceEvalProgram(const hdt::Hdt& tree, const Program& p,
   for (const NodeTuple& t : tuples) {
     hdt::Row row;
     for (hdt::NodeId n : t) {
-      row.emplace_back(tree.node(n).has_data ? tree.node(n).data
-                                             : std::string());
+      row.emplace_back(tree.Data(n));
     }
     MITRA_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
   }

@@ -16,7 +16,7 @@
 /// core/executor.cc:
 ///  - navigation compares tag *names* by string instead of interned ids;
 ///  - positional lookup re-counts same-tag siblings instead of reading the
-///    precomputed Node::pos field;
+///    precomputed Hdt::Pos();
 ///  - node sets are kept in std::set, the cross product is enumerated
 ///    recursively, and data comparison re-derives the numeric-vs-lexical
 ///    rule from strtod directly.

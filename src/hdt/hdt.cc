@@ -2,414 +2,338 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "obs/obs.h"
 
 namespace mitra::hdt {
 
-TagId SymbolTable::Intern(std::string_view name) {
-  // Heterogeneous probe: no temporary std::string on the hit path (which
-  // is nearly every call during parsing — documents have few distinct
-  // tags and millions of elements).
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  TagId id = static_cast<TagId>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(names_.back(), id);
-  return id;
+// --- Dictionary -------------------------------------------------------------
+
+uint32_t Dictionary::Hash(std::string_view s) {
+  const size_t h = std::hash<std::string_view>{}(s);
+  return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-std::optional<TagId> SymbolTable::Lookup(std::string_view name) const {
-  auto it = ids_.find(name);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-NodeId Hdt::NewNode(NodeId parent, std::string_view tag) {
-  Thaw();
-  NodeId id = static_cast<NodeId>(nodes_.size());
-  Node n;
-  n.tag = tags_.Intern(tag);
-  n.parent = parent;
-  if (parent != kInvalidNode) {
-    // pos = number of existing same-tag siblings (O(1) via counter).
-    uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(parent))
-                    << 32) |
-                   static_cast<uint32_t>(n.tag);
-    n.pos = pos_counters_[key]++;
-    nodes_.push_back(std::move(n));
-    nodes_[parent].children.push_back(id);
-  } else {
-    nodes_.push_back(std::move(n));
+void Dictionary::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{0, -1});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id < 0) continue;
+    size_t i = s.hash & mask;
+    while (slots_[i].id >= 0) i = (i + 1) & mask;
+    slots_[i] = s;
   }
-  return id;
 }
 
-NodeId Hdt::AddRoot(std::string_view tag) {
-  assert(nodes_.empty() && "AddRoot must be called exactly once, first");
-  return NewNode(kInvalidNode, tag);
-}
-
-NodeId Hdt::AddChild(NodeId parent, std::string_view tag) {
-  assert(parent >= 0 && static_cast<size_t>(parent) < nodes_.size());
-  return NewNode(parent, tag);
-}
-
-NodeId Hdt::AddChild(NodeId parent, std::string_view tag,
-                     std::string_view data) {
-  NodeId id = AddChild(parent, tag);
-  nodes_[id].data = std::string(data);
-  nodes_[id].has_data = true;
-  return id;
-}
-
-NodeId Hdt::AddAttribute(NodeId parent, std::string_view name,
-                         std::string_view value) {
-  NodeId id = AddChild(parent, name, value);
-  nodes_[id].is_attribute = true;
-  return id;
-}
-
-NodeId Hdt::AddTextRun(NodeId parent, std::string_view data) {
-  NodeId id = AddChild(parent, "text", data);
-  nodes_[id].is_text_run = true;
-  return id;
-}
-
-void Hdt::SetLeafData(NodeId id, std::string_view data) {
-  Thaw();
-  assert(nodes_[id].children.empty() && "only leaves may carry data");
-  nodes_[id].data = std::string(data);
-  nodes_[id].has_data = true;
-}
-
-void Hdt::FreezeIndex(bool compact) {
-  if (index_) {
-    if (compact && !compact_) {
-      // Upgrade in place: the index is already valid, just release the
-      // now-redundant per-node child vectors.
-      for (Node& n : nodes_) {
-        n.children.clear();
-        n.children.shrink_to_fit();
-      }
-      compact_ = true;
+int32_t Dictionary::Intern(std::string_view value) {
+  // Linear probing at a load factor of at most 3/4.
+  if (4 * (size() + 1) > 3 * slots_.size()) Grow();
+  const uint32_t h = Hash(value);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.id < 0) {
+      s = Slot{h, static_cast<int32_t>(size())};
+      chars_.append(value);
+      offsets_.push_back(chars_.size());
+      return s.id;
     }
-    return;
+    if (s.hash == h && Value(s.id) == value) return s.id;
   }
-  MITRA_SPAN(span, "hdt/freeze_index");
-  auto ix = std::make_shared<FrozenIndex>();
-  const size_t n = nodes_.size();
-  const size_t num_tags = tags_.size();
+}
 
-  // Preorder interval numbering, iterative DFS in child order (so ranks
-  // follow the exact sequence the legacy recursive walk visits).
-  ix->pre.assign(n, 0);
-  ix->pre_end.assign(n, 0);
-  ix->pre_to_node.assign(n, kInvalidNode);
-  if (n > 0) {
-    int32_t clock = 0;
-    std::vector<std::pair<NodeId, size_t>> stack;
-    stack.reserve(64);
-    ix->pre[0] = clock;
-    ix->pre_to_node[clock] = 0;
-    ++clock;
-    stack.emplace_back(0, 0);
-    while (!stack.empty()) {
-      auto& [nid, cursor] = stack.back();
-      const auto& ch = nodes_[nid].children;
-      if (cursor < ch.size()) {
-        NodeId c = ch[cursor++];
-        ix->pre[c] = clock;
-        ix->pre_to_node[clock] = c;
-        ++clock;
-        stack.emplace_back(c, 0);
-      } else {
-        ix->pre_end[nid] = clock;
-        stack.pop_back();
-      }
-    }
-    assert(static_cast<size_t>(clock) == n && "all nodes reachable");
+std::optional<int32_t> Dictionary::Find(std::string_view value) const {
+  if (slots_.empty()) return std::nullopt;
+  const uint32_t h = Hash(value);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.id < 0) return std::nullopt;
+    if (s.hash == h && Value(s.id) == value) return s.id;
   }
+}
 
-  // CSR child layout (document order).
-  ix->child_offsets.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    ix->child_offsets[i + 1] =
-        ix->child_offsets[i] + static_cast<int32_t>(nodes_[i].children.size());
-  }
-  ix->child_flat.reserve(n > 0 ? n - 1 : 0);
-  for (size_t i = 0; i < n; ++i) {
-    ix->child_flat.insert(ix->child_flat.end(), nodes_[i].children.begin(),
-                          nodes_[i].children.end());
-  }
+// --- HdtBuilder -------------------------------------------------------------
 
-  // Per-(parent, tag) slices: children regrouped by tag (stable, so the
-  // document order within each group — and thus pos order — is kept).
-  ix->group_offsets.assign(n + 1, 0);
-  ix->child_by_tag.reserve(ix->child_flat.size());
-  std::vector<NodeId> buf;
-  for (size_t i = 0; i < n; ++i) {
-    buf.assign(nodes_[i].children.begin(), nodes_[i].children.end());
-    std::stable_sort(buf.begin(), buf.end(), [&](NodeId a, NodeId b) {
-      return nodes_[a].tag < nodes_[b].tag;
-    });
-    for (size_t k = 0; k < buf.size();) {
-      TagId t = nodes_[buf[k]].tag;
-      FrozenIndex::TagGroup g;
-      g.tag = t;
-      g.begin = static_cast<int32_t>(ix->child_by_tag.size());
-      while (k < buf.size() && nodes_[buf[k]].tag == t) {
-        assert(nodes_[buf[k]].pos ==
-                   static_cast<int32_t>(ix->child_by_tag.size()) - g.begin &&
-               "pos equals rank within the (parent,tag) group");
-        ix->child_by_tag.push_back(buf[k]);
-        ++k;
-      }
-      g.end = static_cast<int32_t>(ix->child_by_tag.size());
-      ix->groups.push_back(g);
-    }
-    ix->group_offsets[i + 1] = static_cast<int32_t>(ix->groups.size());
+NodeId HdtBuilder::Append(NodeId parent, std::string_view tag, DataId data,
+                          uint8_t flags) {
+  const auto id = static_cast<NodeId>(s_.tag.size());
+  if (preorder_ && parent != kInvalidNode) {
+    // The new node continues the preorder iff its parent is on the
+    // rightmost path; everything below the parent on that path is closed.
+    while (!open_.empty() && open_.back() != parent) open_.pop_back();
+    preorder_ = !open_.empty();
   }
+  if (preorder_) open_.push_back(id);
+  s_.tag.push_back(s_.tags.Intern(tag));
+  s_.parent.push_back(parent);
+  s_.data.push_back(data);
+  s_.flags.push_back(flags);
+  return id;
+}
 
-  // Per-tag posting lists in preorder-rank order: counting sort by tag,
-  // filled by walking ranks ascending — no comparison sort needed.
-  ix->posting_offsets.assign(num_tags + 1, 0);
-  for (const Node& nd : nodes_) ix->posting_offsets[nd.tag + 1]++;
-  for (size_t t = 0; t < num_tags; ++t) {
-    ix->posting_offsets[t + 1] += ix->posting_offsets[t];
-  }
-  ix->postings.assign(n, kInvalidNode);
-  ix->posting_pre.assign(n, 0);
+NodeId HdtBuilder::AddRoot(std::string_view tag) {
+  assert(s_.tag.empty() && "AddRoot must be called exactly once, first");
+  return Append(kInvalidNode, tag, kInvalidData, 0);
+}
+
+NodeId HdtBuilder::AddChild(NodeId parent, std::string_view tag) {
+  return Append(parent, tag, kInvalidData, 0);
+}
+
+NodeId HdtBuilder::AddChild(NodeId parent, std::string_view tag,
+                            std::string_view data) {
+  return Append(parent, tag, s_.dict.Intern(data), 0);
+}
+
+NodeId HdtBuilder::AddAttribute(NodeId parent, std::string_view name,
+                                std::string_view value) {
+  return Append(parent, name, s_.dict.Intern(value), Hdt::kAttributeFlag);
+}
+
+NodeId HdtBuilder::AddTextRun(NodeId parent, std::string_view data) {
+  return Append(parent, "text", s_.dict.Intern(data), Hdt::kTextRunFlag);
+}
+
+void HdtBuilder::SetLeafData(NodeId id, std::string_view data) {
+  s_.data[id] = s_.dict.Intern(data);
+}
+
+void HdtBuilder::Renumber() {
+  const size_t n = s_.tag.size();
+  // Children in append order: a counting sort of the nodes by parent.
+  std::vector<int32_t> begin(n + 1, 0);
+  for (size_t i = 1; i < n; ++i) ++begin[s_.parent[i] + 1];
+  for (size_t i = 1; i <= n; ++i) begin[i] += begin[i - 1];
+  std::vector<NodeId> kids(n);  // n - 1 used: the root has no parent
   {
-    std::vector<int32_t> cursor(ix->posting_offsets.begin(),
-                                ix->posting_offsets.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      NodeId nd = ix->pre_to_node[r];
-      int32_t& c = cursor[nodes_[nd].tag];
-      ix->postings[c] = nd;
-      ix->posting_pre[c] = static_cast<int32_t>(r);
-      ++c;
+    std::vector<int32_t> cursor(begin.begin(), begin.end() - 1);
+    for (size_t i = 1; i < n; ++i) {
+      kids[cursor[s_.parent[i]]++] = static_cast<NodeId>(i);
     }
   }
+  // Preorder ranks by an explicit-stack DFS.
+  std::vector<NodeId> rank(n);
+  std::vector<NodeId> stack{0};
+  NodeId next = 0;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    rank[v] = next++;
+    for (int32_t k = begin[v + 1]; k > begin[v]; --k) {
+      stack.push_back(kids[k - 1]);
+    }
+  }
+  auto permute = [&](auto& column) {
+    auto old = std::move(column);
+    column.resize(n);
+    for (size_t i = 0; i < n; ++i) column[rank[i]] = old[i];
+  };
+  for (NodeId& p : s_.parent) p = p == kInvalidNode ? p : rank[p];
+  permute(s_.tag);
+  permute(s_.parent);
+  permute(s_.data);
+  permute(s_.flags);
+}
 
-  // Leaf-data dictionary, in node-id first-seen order so dictionary order
-  // equals AllDataValues() order.
-  ix->data_id.assign(n, kInvalidData);
-  for (size_t i = 0; i < n; ++i) {
-    const Node& nd = nodes_[i];
-    if (!nd.has_data) continue;
-    auto it = ix->dict_ids.find(std::string_view(nd.data));
-    DataId d;
-    if (it != ix->dict_ids.end()) {
-      d = it->second;
-    } else {
-      d = static_cast<DataId>(ix->dict_values.size());
-      ix->dict_values.push_back(nd.data);
-      ix->dict_ids.emplace(nd.data, d);
-    }
-    ix->data_id[i] = d;
+void HdtBuilder::ReorderDictionary() {
+  std::vector<DataId> remap(s_.dict.size(), kInvalidData);
+  Dictionary fresh;
+  for (DataId& d : s_.data) {
+    if (d == kInvalidData) continue;
+    if (remap[d] == kInvalidData) remap[d] = fresh.Intern(s_.dict.Value(d));
+    d = remap[d];
   }
-  ix->dict_numbers.assign(ix->dict_values.size(), 0.0);
-  ix->dict_is_number.assign(ix->dict_values.size(), 0);
-  for (size_t d = 0; d < ix->dict_values.size(); ++d) {
-    if (auto num = ParseNumber(ix->dict_values[d])) {
-      ix->dict_numbers[d] = *num;
-      ix->dict_is_number[d] = 1;
-    }
-  }
+  s_.dict = std::move(fresh);
+}
 
-  // Vocabulary, precomputed in the legacy node-id iteration order so the
-  // DFA alphabet interning order (and hence synthesis output) is
-  // bit-identical frozen or not.
+Hdt HdtBuilder::Finish() {
+  MITRA_SPAN(span, "hdt/build");
+  const size_t n = s_.tag.size();
+  if (n == 0) return Hdt();
+  if (!preorder_) Renumber();
+  // The dictionary must list exactly the values in use, in first-seen
+  // node order. Parsers intern in that order already; out-of-order
+  // appends and overwritten leaf data need a rebuild.
   {
-    std::unordered_set<uint64_t> seen;
-    for (const Node& nd : nodes_) {
-      if (nd.parent == kInvalidNode) continue;
-      uint64_t key = (static_cast<uint64_t>(nd.tag) << 32) |
-                     static_cast<uint32_t>(nd.pos);
-      if (seen.insert(key).second) ix->tag_pos_pairs.emplace_back(nd.tag, nd.pos);
+    DataId next = 0;
+    bool ordered = true;
+    for (DataId d : s_.data) {
+      if (d == next) {
+        ++next;
+      } else if (d > next) {
+        ordered = false;
+        break;
+      }
+    }
+    if (!ordered || static_cast<size_t>(next) != s_.dict.size()) {
+      ReorderDictionary();
     }
   }
 
-  MITRA_COUNT("hdt/freeze/calls", 1);
-  MITRA_COUNT("hdt/freeze/nodes", n);
-  MITRA_COUNT("hdt/freeze/dict_entries", ix->dict_values.size());
-  index_ = std::move(ix);
-  if (compact) {
-    for (Node& nd : nodes_) {
-      nd.children.clear();
-      nd.children.shrink_to_fit();
+  auto s = std::make_shared<Hdt::Storage>(std::move(s_));
+  *this = HdtBuilder();
+  const size_t num_tags = s->tags.size();
+  const std::vector<TagId>& tag = s->tag;
+  const std::vector<NodeId>& parent = s->parent;
+
+  // Subtree ends: in preorder a subtree ends where its last child's does.
+  s->end.resize(n);
+  for (size_t i = 0; i < n; ++i) s->end[i] = static_cast<NodeId>(i + 1);
+  for (size_t i = n - 1; i > 0; --i) {
+    s->end[parent[i]] = std::max(s->end[parent[i]], s->end[i]);
+  }
+
+  // Per-tag postings: a counting sort by tag over ascending ids, so each
+  // list is in preorder.
+  std::vector<int32_t>& posting_begin = s->posting_begin;
+  posting_begin.assign(num_tags + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++posting_begin[tag[i] + 1];
+  for (size_t t = 1; t <= num_tags; ++t) {
+    posting_begin[t] += posting_begin[t - 1];
+  }
+  s->postings.resize(n);
+  {
+    std::vector<int32_t> cursor(posting_begin.begin(), posting_begin.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      s->postings[cursor[tag[i]]++] = static_cast<NodeId>(i);
     }
-    compact_ = true;
   }
-}
 
-void Hdt::Thaw() {
-  if (!index_) return;
-  if (compact_) {
-    const FrozenIndex& ix = *index_;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i].children.assign(
-          ix.child_flat.begin() + ix.child_offsets[i],
-          ix.child_flat.begin() + ix.child_offsets[i + 1]);
+  // Children by (tag, document order): a stable counting sort by parent
+  // over the postings, which are already ordered by (tag, id).
+  std::vector<int32_t>& child_begin = s->child_begin;
+  child_begin.assign(n + 1, 0);
+  for (size_t i = 1; i < n; ++i) ++child_begin[parent[i] + 1];
+  for (size_t i = 1; i <= n; ++i) child_begin[i] += child_begin[i - 1];
+  s->child_by_tag.resize(n - 1);
+  {
+    std::vector<int32_t> cursor(child_begin.begin(), child_begin.end() - 1);
+    for (NodeId c : s->postings) {
+      if (c != 0) s->child_by_tag[cursor[parent[c]]++] = c;
     }
-    compact_ = false;
   }
-  index_.reset();
+
+  // pos = rank within the run of same-parent, same-tag children; (t, k)
+  // first occurs after (t, k - 1) does — at the earlier same-tag sibling —
+  // so a (tag, pos) pair is new exactly when its pos equals the number of
+  // pairs seen so far for its tag.
+  s->pos.assign(n, 0);
+  for (size_t k = 1; k + 1 < n; ++k) {
+    const NodeId c = s->child_by_tag[k];
+    const NodeId prev = s->child_by_tag[k - 1];
+    if (parent[prev] == parent[c] && tag[prev] == tag[c]) {
+      s->pos[c] = s->pos[prev] + 1;
+    }
+  }
+  {
+    std::vector<int32_t> seen(num_tags, 0);
+    for (size_t i = 1; i < n; ++i) {
+      if (s->pos[i] == seen[tag[i]]) {
+        s->tag_pos_pairs.emplace_back(tag[i], s->pos[i]);
+        ++seen[tag[i]];
+      }
+    }
+  }
+
+  s->dict_number.resize(s->dict.size());
+  for (size_t d = 0; d < s->dict_number.size(); ++d) {
+    s->dict_number[d] = ParseNumber(s->dict.Value(static_cast<DataId>(d)));
+  }
+#ifndef NDEBUG
+  for (size_t i = 0; i < n; ++i) {
+    assert((s->data[i] == kInvalidData ||
+            s->end[i] == static_cast<NodeId>(i + 1)) &&
+           "only leaves may carry data");
+  }
+#endif
+
+  MITRA_COUNT("hdt/build/trees", 1);
+  MITRA_COUNT("hdt/build/nodes", n);
+  MITRA_COUNT("hdt/build/dict_entries", s->dict.size());
+  return Hdt(std::move(s));
 }
 
-const FrozenIndex::TagGroup* Hdt::FindGroup(NodeId id, TagId tag) const {
-  const FrozenIndex& ix = *index_;
-  const FrozenIndex::TagGroup* first = ix.groups.data() + ix.group_offsets[id];
-  const FrozenIndex::TagGroup* last =
-      ix.groups.data() + ix.group_offsets[id + 1];
-  const FrozenIndex::TagGroup* it = std::lower_bound(
-      first, last, tag,
-      [](const FrozenIndex::TagGroup& g, TagId t) { return g.tag < t; });
-  if (it == last || it->tag != tag) return nullptr;
-  return it;
-}
+// --- Hdt --------------------------------------------------------------------
 
-std::span<const NodeId> Hdt::ChildrenWithTagSpan(NodeId id, TagId tag) const {
-  const FrozenIndex::TagGroup* g = FindGroup(id, tag);
-  if (!g) return {};
-  return {index_->child_by_tag.data() + g->begin,
-          static_cast<size_t>(g->end - g->begin)};
-}
-
-std::span<const NodeId> Hdt::DescendantsWithTagSpan(NodeId id,
-                                                    TagId tag) const {
-  const FrozenIndex& ix = *index_;
-  if (tag < 0 || static_cast<size_t>(tag) + 1 >= ix.posting_offsets.size()) {
-    return {};
-  }
-  // Proper descendants of `id` are exactly the nodes with preorder rank in
-  // the open interval (pre[id], pre_end[id]); within tag `tag`'s posting
-  // list (sorted by rank) that is one contiguous subrange.
-  const int32_t lo = ix.pre[id] + 1;
-  const int32_t hi = ix.pre_end[id];
-  const int32_t* base = ix.posting_pre.data();
-  const int32_t* first = base + ix.posting_offsets[tag];
-  const int32_t* last = base + ix.posting_offsets[tag + 1];
-  const int32_t* b = std::lower_bound(first, last, lo);
-  const int32_t* e = std::lower_bound(b, last, hi);
-  return {ix.postings.data() + (b - base), static_cast<size_t>(e - b)};
-}
-
-void Hdt::ChildrenWithTag(NodeId id, TagId tag,
-                          std::vector<NodeId>* out) const {
-  if (index_) {
-    auto s = ChildrenWithTagSpan(id, tag);
-    out->insert(out->end(), s.begin(), s.end());
-    return;
-  }
-  for (NodeId c : nodes_[id].children) {
-    if (nodes_[c].tag == tag) out->push_back(c);
-  }
+std::span<const NodeId> Hdt::ChildrenWithTag(NodeId id, TagId tag) const {
+  const TagId* tags = s_->tag.data();
+  const NodeId* first = s_->child_by_tag.data() + s_->child_begin[id];
+  const NodeId* last = s_->child_by_tag.data() + s_->child_begin[id + 1];
+  const NodeId* b = std::lower_bound(
+      first, last, tag, [tags](NodeId c, TagId t) { return tags[c] < t; });
+  const NodeId* e = std::upper_bound(
+      b, last, tag, [tags](TagId t, NodeId c) { return t < tags[c]; });
+  return {b, static_cast<size_t>(e - b)};
 }
 
 NodeId Hdt::ChildWithTagPos(NodeId id, TagId tag, int32_t pos) const {
-  if (index_) {
-    auto s = ChildrenWithTagSpan(id, tag);
-    // Within a group the k-th child has pos == k (checked at freeze).
-    if (pos < 0 || static_cast<size_t>(pos) >= s.size()) return kInvalidNode;
-    return s[pos];
-  }
-  for (NodeId c : nodes_[id].children) {
-    if (nodes_[c].tag == tag && nodes_[c].pos == pos) return c;
-  }
-  return kInvalidNode;
+  // The run of `tag` children has pos 0, 1, ... in order.
+  const std::span<const NodeId> run = ChildrenWithTag(id, tag);
+  if (pos < 0 || static_cast<size_t>(pos) >= run.size()) return kInvalidNode;
+  return run[static_cast<size_t>(pos)];
 }
 
-void Hdt::DescendantsWithTag(NodeId id, TagId tag,
-                             std::vector<NodeId>* out) const {
-  if (index_) {
-    auto s = DescendantsWithTagSpan(id, tag);
-    out->insert(out->end(), s.begin(), s.end());
-    return;
-  }
-  // Iterative preorder DFS over proper descendants.
-  std::vector<NodeId> stack(nodes_[id].children.rbegin(),
-                            nodes_[id].children.rend());
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    if (nodes_[cur].tag == tag) out->push_back(cur);
-    const auto& ch = nodes_[cur].children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
-  }
-}
-
-std::optional<DataId> Hdt::LookupDataId(std::string_view value) const {
-  if (!index_) return std::nullopt;
-  auto it = index_->dict_ids.find(value);
-  if (it == index_->dict_ids.end()) return std::nullopt;
-  return it->second;
+std::span<const NodeId> Hdt::DescendantsWithTag(NodeId id, TagId tag) const {
+  if (tag < 0 || static_cast<size_t>(tag) >= NumTags()) return {};
+  // Proper descendants of `id` are the ids in (id, end[id]); within the
+  // tag's posting list (sorted by id) that is one contiguous subrange.
+  const NodeId* first = s_->postings.data() + s_->posting_begin[tag];
+  const NodeId* last = s_->postings.data() + s_->posting_begin[tag + 1];
+  const NodeId* b = std::lower_bound(first, last, id + 1);
+  const NodeId* e = std::lower_bound(b, last, s_->end[id]);
+  return {b, static_cast<size_t>(e - b)};
 }
 
 int Hdt::Depth(NodeId id) const {
   int d = 0;
-  while (nodes_[id].parent != kInvalidNode) {
-    id = nodes_[id].parent;
+  while (Parent(id) != kInvalidNode) {
+    id = Parent(id);
     ++d;
   }
   return d;
 }
 
 std::vector<TagId> Hdt::AllTags() const {
-  std::vector<TagId> out;
-  out.reserve(tags_.size());
-  for (TagId t = 0; t < static_cast<TagId>(tags_.size()); ++t) {
-    out.push_back(t);
-  }
+  std::vector<TagId> out(NumTags());
+  for (size_t t = 0; t < out.size(); ++t) out[t] = static_cast<TagId>(t);
   return out;
 }
 
-std::vector<std::pair<TagId, int32_t>> Hdt::AllTagPosPairs() const {
-  if (index_) return index_->tag_pos_pairs;
-  std::vector<std::pair<TagId, int32_t>> out;
-  std::unordered_set<uint64_t> seen;
-  for (const Node& n : nodes_) {
-    if (n.parent == kInvalidNode) continue;
-    uint64_t key = (static_cast<uint64_t>(n.tag) << 32) |
-                   static_cast<uint32_t>(n.pos);
-    if (seen.insert(key).second) out.emplace_back(n.tag, n.pos);
-  }
-  return out;
+const std::vector<std::pair<TagId, int32_t>>& Hdt::AllTagPosPairs() const {
+  static const std::vector<std::pair<TagId, int32_t>> kNone;
+  return s_ ? s_->tag_pos_pairs : kNone;
 }
 
 std::vector<std::string> Hdt::AllDataValues() const {
-  if (index_) return index_->dict_values;
   std::vector<std::string> out;
-  std::unordered_set<std::string> seen;
-  for (const Node& n : nodes_) {
-    if (n.has_data && seen.insert(n.data).second) out.push_back(n.data);
+  out.reserve(DictSize());
+  for (size_t d = 0; d < DictSize(); ++d) {
+    out.emplace_back(DictValue(static_cast<DataId>(d)));
   }
   return out;
 }
 
-namespace {
-void DebugRec(const Hdt& t, NodeId id, int indent, std::string* out) {
-  out->append(static_cast<size_t>(indent) * 2, ' ');
-  out->append(t.NodeTagName(id));
-  out->append("[");
-  out->append(std::to_string(t.node(id).pos));
-  out->append("]");
-  if (t.HasData(id)) {
-    out->append(" = \"");
-    out->append(t.Data(id));
-    out->append("\"");
-  }
-  out->append("\n");
-  for (NodeId c : t.Children(id)) DebugRec(t, c, indent + 1, out);
-}
-}  // namespace
-
 std::string Hdt::ToDebugString() const {
   std::string out;
-  if (!nodes_.empty()) DebugRec(*this, root(), 0, &out);
+  // Ids are preorder ranks: the depth of a node is the number of subtrees
+  // still open when it is reached.
+  std::vector<NodeId> open;
+  for (NodeId id = 0; id < static_cast<NodeId>(size()); ++id) {
+    while (!open.empty() && open.back() <= id) open.pop_back();
+    out.append(open.size() * 2, ' ');
+    out.append(NodeTagName(id));
+    out.append("[" + std::to_string(Pos(id)) + "]");
+    if (HasData(id)) {
+      out.append(" = \"");
+      out.append(Data(id));
+      out.append("\"");
+    }
+    out.append("\n");
+    open.push_back(SubtreeEnd(id));
+  }
   return out;
 }
 

@@ -1,16 +1,15 @@
 #ifndef MITRA_HDT_HDT_H_
 #define MITRA_HDT_HDT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 /// \file hdt.h
 /// Hierarchical Data Tree (HDT) — the paper's uniform representation of
@@ -19,327 +18,295 @@
 /// An HDT is a rooted tree whose nodes are triples (tag, pos, data):
 ///  - `tag`  — label of the node (element name / attribute name / JSON key),
 ///  - `pos`  — the node is the pos'th child with this tag under its parent,
-///  - `data` — payload; only leaf nodes carry data, internal nodes are nil.
+///  - `data` — payload; only leaves carry data, internal nodes are nil.
 ///
-/// Trees are built mutable and may then be *frozen* (`FreezeIndex`), which
-/// attaches succinct acceleration structures: preorder interval numbering,
-/// a CSR child layout with per-(parent,tag) slices, per-tag posting lists,
-/// and a leaf-data dictionary. Navigation results are identical either way;
-/// frozen trees just answer faster and without per-query allocation.
+/// A tree is emitted by an HdtBuilder (the parsers drive one while they
+/// read) and is immutable and fully indexed from then on. Node ids are
+/// preorder ranks, so a subtree is an id interval, and every navigation
+/// query is a slice of a flat array (see DESIGN.md "Indexed HDT layout").
 
 namespace mitra::hdt {
 
-/// Index of a node inside an Hdt's arena.
+/// Index of a node: its preorder rank (root = 0).
 using NodeId = int32_t;
 /// Interned tag identifier (valid within one Hdt).
 using TagId = int32_t;
-/// Interned leaf-data identifier (valid within one frozen Hdt).
+/// Interned leaf-data identifier (valid within one Hdt).
 using DataId = int32_t;
 
 inline constexpr NodeId kInvalidNode = -1;
-inline constexpr TagId kInvalidTag = -1;
 inline constexpr DataId kInvalidData = -1;
 
-/// Transparent hasher so unordered_map<std::string, …> can be probed with a
-/// string_view without materialising a temporary std::string.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
+/// Heap bytes one node of a parsed document costs, dictionary strings
+/// included: perfbench's hdt.bytes_per_node reads 53 on the Table 2
+/// documents. The parsers charge this to a governor once per node.
+inline constexpr size_t kBytesPerNode = 53;
 
-/// Interns tag strings to dense integer ids for fast comparisons.
-class SymbolTable {
+/// Interns strings to dense ids in first-seen order. Each distinct string
+/// is stored once, in one character arena, and found again through an
+/// open-addressing table of ids (no per-string heap node). Holds both the
+/// tags and the leaf values of a tree.
+class Dictionary {
  public:
-  /// Returns the id for `name`, creating one if necessary.
-  TagId Intern(std::string_view name);
-  /// Returns the id for `name` if it was interned before, else nullopt.
-  std::optional<TagId> Lookup(std::string_view name) const;
-  /// Returns the string for an interned id.
-  const std::string& Name(TagId id) const { return names_[id]; }
-  /// Number of distinct tags interned so far.
-  size_t size() const { return names_.size(); }
+  /// Returns the id of `value`, adding it if it is new.
+  int32_t Intern(std::string_view value);
+  /// The id of `value`, or nullopt when it was never interned.
+  std::optional<int32_t> Find(std::string_view value) const;
+  std::string_view Value(int32_t id) const {
+    return std::string_view(chars_).substr(offsets_[id],
+                                           offsets_[id + 1] - offsets_[id]);
+  }
+  size_t size() const { return offsets_.size() - 1; }
 
  private:
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, TagId, StringHash, std::equal_to<>> ids_;
-};
-
-/// One HDT node. Stored by value in the tree's arena; refer to nodes by
-/// NodeId, not by pointer (the arena may reallocate while building).
-struct Node {
-  TagId tag = kInvalidTag;
-  /// Index among the preceding siblings that share this tag (0-based).
-  int32_t pos = 0;
-  NodeId parent = kInvalidNode;
-  /// Payload. Meaningful only when `has_data` is true; per Definition 1
-  /// only leaves carry data.
-  std::string data;
-  bool has_data = false;
-  /// Provenance: true when this node encodes an XML/HTML *attribute*
-  /// (§3 encodes attributes as nested leaf children). The DSL and the
-  /// synthesizer never read this — it exists so the XML writer and the
-  /// XSLT backend can distinguish `@name` from element children.
-  bool is_attribute = false;
-  /// Provenance: true when this node encodes a character-data run of a
-  /// mixed-content XML/HTML element (§3 encodes such runs as leaf children
-  /// tagged `text`). Like is_attribute, the DSL never reads this; the XML
-  /// writer uses it to tell a text run apart from a real element that
-  /// happens to be named `text`.
-  bool is_text_run = false;
-  /// Child list while the tree is mutable. After FreezeIndex(compact=true)
-  /// the CSR layout is the sole child representation and this vector is
-  /// released; read children through Hdt::Children(), never directly,
-  /// unless you know the tree is unfrozen.
-  std::vector<NodeId> children;
-};
-
-/// Immutable acceleration structures attached to a frozen Hdt. All vectors
-/// are indexed by NodeId (size N) unless noted otherwise.
-struct FrozenIndex {
-  // --- preorder interval numbering -------------------------------------
-  /// node → preorder rank (root = 0).
-  std::vector<int32_t> pre;
-  /// node → half-open end of its subtree interval: m is a *proper*
-  /// descendant of n iff pre[n] < pre[m] < pre_end[n].
-  std::vector<int32_t> pre_end;
-  /// preorder rank → node (inverse of `pre`).
-  std::vector<NodeId> pre_to_node;
-
-  // --- CSR child layout (document order) -------------------------------
-  /// node → offset into child_flat; size N+1.
-  std::vector<int32_t> child_offsets;
-  /// Children of all nodes, concatenated in document order.
-  std::vector<NodeId> child_flat;
-
-  // --- per-(parent, tag) child slices ----------------------------------
-  /// One contiguous run of same-tag children of one parent. `begin`/`end`
-  /// index into child_by_tag; within a group children appear in document
-  /// order, and the k-th entry has pos == k.
-  struct TagGroup {
-    TagId tag;
-    int32_t begin;
-    int32_t end;
+  struct Slot {
+    uint32_t hash;
+    int32_t id;  ///< -1 when the slot is free
   };
-  /// node → offset into `groups`; size N+1. Groups of one parent are
-  /// sorted by tag, enabling binary search.
-  std::vector<int32_t> group_offsets;
-  std::vector<TagGroup> groups;
-  /// Children regrouped by (parent, tag); same length as child_flat.
-  std::vector<NodeId> child_by_tag;
+  static uint32_t Hash(std::string_view s);
+  void Grow();
 
-  // --- per-tag posting lists -------------------------------------------
-  /// tag → offset into postings; size num_tags+1.
-  std::vector<int32_t> posting_offsets;
-  /// All nodes with a given tag, sorted by preorder rank; so "descendants
-  /// of n with tag t" is the subrange of postings[t] whose pre rank lies
-  /// in (pre[n], pre_end[n]) — found by two binary searches — and the
-  /// subrange order equals the legacy DFS preorder emission order.
-  std::vector<NodeId> postings;
-  /// posting_pre[i] == pre[postings[i]] (aligned, for the binary search).
-  std::vector<int32_t> posting_pre;
-
-  // --- leaf-data dictionary --------------------------------------------
-  /// node → dictionary id of its data, or kInvalidData when the node
-  /// carries no data. Dictionary order is node-id first-seen order, which
-  /// equals AllDataValues() order.
-  std::vector<DataId> data_id;
-  std::vector<std::string> dict_values;
-  /// Aligned with dict_values: ParseNumber result, precomputed once.
-  std::vector<double> dict_numbers;
-  std::vector<uint8_t> dict_is_number;
-  std::unordered_map<std::string, DataId, StringHash, std::equal_to<>>
-      dict_ids;
-
-  // --- precomputed vocabulary (legacy iteration order) ------------------
-  std::vector<std::pair<TagId, int32_t>> tag_pos_pairs;
+  std::string chars_;
+  std::vector<size_t> offsets_{0};
+  std::vector<Slot> slots_;  ///< size is zero or a power of two
 };
 
-/// An arena-backed hierarchical data tree.
+/// Children of one node in document order: the first child is n + 1 and
+/// each next sibling starts where the previous sibling's subtree ends.
+class ChildRange {
+ public:
+  class Iterator {
+   public:
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    Iterator() = default;
+    Iterator(const NodeId* end, NodeId cur) : end_(end), cur_(cur) {}
+    NodeId operator*() const { return cur_; }
+    Iterator& operator++() {
+      cur_ = end_[cur_];
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator& o) const { return cur_ == o.cur_; }
+
+   private:
+    const NodeId* end_ = nullptr;
+    NodeId cur_ = 0;
+  };
+
+  ChildRange(const NodeId* end, NodeId first, NodeId stop)
+      : end_(end), first_(first), stop_(stop) {}
+  Iterator begin() const { return {end_, first_}; }
+  Iterator end() const { return {end_, stop_}; }
+  bool empty() const { return first_ == stop_; }
+
+ private:
+  const NodeId* end_;
+  NodeId first_;
+  NodeId stop_;
+};
+
+/// An immutable, indexed hierarchical data tree.
 ///
-/// Build with `AddRoot` / `AddChild`; query with the navigation helpers that
-/// mirror the DSL operators of Figure 6 (children / pchildren / descendants
-/// on the column side, parent / child on the node-extractor side).
-///
-/// Freeze contract: `FreezeIndex()` builds the FrozenIndex; any subsequent
-/// mutation (AddChild / SetLeafData / …) transparently thaws the tree
-/// (restoring per-node child vectors if they were compacted) and drops the
-/// index. Copying a frozen tree shares the immutable index.
+/// Query with the navigation helpers that mirror the DSL operators of
+/// Figure 6 (children / pchildren / descendants on the column side, parent
+/// / child on the node-extractor side). Copies share the arrays.
 class Hdt {
  public:
   Hdt() = default;
 
-  // --- construction ------------------------------------------------------
-
-  /// Creates the root node. Must be called exactly once, first.
-  NodeId AddRoot(std::string_view tag);
-
-  /// Appends a child under `parent`. `pos` is computed automatically as the
-  /// number of existing children of `parent` with the same tag.
-  /// If `data` is supplied the node is created as a data-carrying leaf.
-  NodeId AddChild(NodeId parent, std::string_view tag);
-  NodeId AddChild(NodeId parent, std::string_view tag, std::string_view data);
-
-  /// Appends an attribute-encoded leaf child (see Node::is_attribute).
-  NodeId AddAttribute(NodeId parent, std::string_view name,
-                      std::string_view value);
-
-  /// Appends a text-run leaf child tagged `text` (see Node::is_text_run).
-  NodeId AddTextRun(NodeId parent, std::string_view data);
-
-  /// Attaches data to an existing node, making it a data-carrying leaf.
-  /// The node must have no children (Definition 1: only leaves hold data).
-  void SetLeafData(NodeId id, std::string_view data);
-
-  /// True when the node encodes a source-document attribute.
-  bool IsAttribute(NodeId id) const { return nodes_[id].is_attribute; }
-
-  /// True when the node encodes a mixed-content character-data run.
-  bool IsTextRun(NodeId id) const { return nodes_[id].is_text_run; }
-
-  // --- freezing -----------------------------------------------------------
-
-  /// Builds the succinct index. Idempotent. With `compact` (the default)
-  /// the per-node child vectors are released — the CSR layout becomes the
-  /// sole child representation — reclaiming ~24 bytes + heap per node;
-  /// pass compact=false when other code still reads Node::children
-  /// directly on this tree. FreezeIndex(true) on an already-frozen
-  /// non-compact tree upgrades it in place.
-  void FreezeIndex(bool compact = true);
-
-  /// True when a FrozenIndex is attached.
-  bool frozen() const { return index_ != nullptr; }
-
-  /// True when the per-node child vectors were released (frozen compact).
-  bool compacted() const { return compact_; }
-
-  /// Drops the index and, if it was compacted, restores the per-node child
-  /// vectors. Called automatically by mutating operations.
-  void Thaw();
-
-  /// The attached index, or nullptr. Exposed for white-box tests; normal
-  /// consumers should use the navigation API below.
-  const FrozenIndex* index() const { return index_.get(); }
+  /// Does nothing: a tree is indexed when it is built. Kept only because
+  /// the end-to-end benchmark harness still calls it.
+  void FreezeIndex(bool /*compact*/ = true) {}
 
   // --- basic accessors ----------------------------------------------------
 
-  bool empty() const { return nodes_.empty(); }
-  NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
-  size_t size() const { return nodes_.size(); }
-  const Node& node(NodeId id) const { return nodes_[id]; }
-  const std::string& TagName(TagId id) const { return tags_.Name(id); }
-  const std::string& NodeTagName(NodeId id) const {
-    return tags_.Name(nodes_[id].tag);
-  }
-  std::optional<TagId> LookupTag(std::string_view name) const {
-    return tags_.Lookup(name);
-  }
-  const SymbolTable& tags() const { return tags_; }
+  bool empty() const { return size() == 0; }
+  NodeId root() const { return empty() ? kInvalidNode : 0; }
+  size_t size() const { return s_ ? s_->tag.size() : 0; }
+  /// Number of "elements" as counted in the paper's Table 1 (#Elements):
+  /// nodes in the tree.
+  size_t NumElements() const { return size(); }
 
-  /// Children of `id` in document order, valid frozen or not.
-  std::span<const NodeId> Children(NodeId id) const {
-    if (compact_) {
-      const FrozenIndex* ix = index_.get();
-      return {ix->child_flat.data() + ix->child_offsets[id],
-              static_cast<size_t>(ix->child_offsets[id + 1] -
-                                  ix->child_offsets[id])};
-    }
-    const auto& ch = nodes_[id].children;
-    return {ch.data(), ch.size()};
+  TagId Tag(NodeId id) const { return s_->tag[id]; }
+  int32_t Pos(NodeId id) const { return s_->pos[id]; }
+  /// Parent, or kInvalidNode for the root.
+  NodeId Parent(NodeId id) const { return s_->parent[id]; }
+  /// One past the last node of the subtree rooted at `id`.
+  NodeId SubtreeEnd(NodeId id) const { return s_->end[id]; }
+
+  std::string_view TagName(TagId id) const { return s_->tags.Value(id); }
+  std::string_view NodeTagName(NodeId id) const { return TagName(Tag(id)); }
+  std::optional<TagId> LookupTag(std::string_view name) const {
+    if (!s_) return std::nullopt;
+    return s_->tags.Find(name);
+  }
+  size_t NumTags() const { return s_ ? s_->tags.size() : 0; }
+
+  /// True when the node encodes a source-document attribute. Provenance
+  /// only: the DSL and the synthesizer never read it; the XML writer and
+  /// the XSLT backend use it to tell `@name` from element children.
+  bool IsAttribute(NodeId id) const {
+    return (s_->flags[id] & kAttributeFlag) != 0;
+  }
+  /// True when the node encodes a character-data run of a mixed-content
+  /// XML/HTML element (a leaf tagged `text`). Provenance only, like
+  /// IsAttribute.
+  bool IsTextRun(NodeId id) const {
+    return (s_->flags[id] & kTextRunFlag) != 0;
+  }
+
+  /// Children of `id` in document order.
+  ChildRange Children(NodeId id) const {
+    return ChildRange(s_->end.data(), id + 1, s_->end[id]);
   }
   size_t NumChildren(NodeId id) const {
-    if (compact_) {
-      const FrozenIndex* ix = index_.get();
-      return static_cast<size_t>(ix->child_offsets[id + 1] -
-                                 ix->child_offsets[id]);
-    }
-    return nodes_[id].children.size();
+    return static_cast<size_t>(s_->child_begin[id + 1] -
+                               s_->child_begin[id]);
   }
-
   /// True if the node has no children. Note a leaf may still have no data
   /// (e.g. an empty XML element).
-  bool IsLeaf(NodeId id) const { return NumChildren(id) == 0; }
+  bool IsLeaf(NodeId id) const { return s_->end[id] == id + 1; }
+
   /// Data of a node, or empty string for internal / data-less nodes.
   std::string_view Data(NodeId id) const {
-    const Node& n = nodes_[id];
-    return n.has_data ? std::string_view(n.data) : std::string_view();
+    const DataId d = s_->data[id];
+    return d == kInvalidData ? std::string_view() : s_->dict.Value(d);
   }
-  bool HasData(NodeId id) const { return nodes_[id].has_data; }
+  bool HasData(NodeId id) const { return s_->data[id] != kInvalidData; }
 
-  // --- dictionary accessors (meaningful only when frozen) -----------------
+  // --- leaf-data dictionary -----------------------------------------------
 
-  /// Dictionary id of the node's data, or kInvalidData when the node has
-  /// no data or the tree is not frozen.
-  DataId GetDataId(NodeId id) const {
-    const FrozenIndex* ix = index_.get();
-    return ix ? ix->data_id[id] : kInvalidData;
+  /// Dictionary id of the node's data, or kInvalidData when it has none.
+  /// Dictionary order is first-seen node order, so it equals
+  /// AllDataValues() order.
+  DataId GetDataId(NodeId id) const { return s_->data[id]; }
+  /// The dictionary id of `value`, or nullopt when no leaf holds it.
+  std::optional<DataId> LookupDataId(std::string_view value) const {
+    if (!s_) return std::nullopt;
+    return s_->dict.Find(value);
   }
-  /// Looks up a value in the frozen data dictionary. nullopt when the tree
-  /// is unfrozen OR the value is not a leaf value of this tree — callers
-  /// that need to distinguish the two should check frozen() first.
-  std::optional<DataId> LookupDataId(std::string_view value) const;
-  size_t DictSize() const { return index_ ? index_->dict_values.size() : 0; }
-  const std::string& DictValue(DataId id) const {
-    return index_->dict_values[id];
+  size_t DictSize() const { return s_ ? s_->dict.size() : 0; }
+  std::string_view DictValue(DataId id) const { return s_->dict.Value(id); }
+  /// ParseNumber of a dictionary value, computed once per value.
+  const std::optional<double>& DictNumber(DataId id) const {
+    return s_->dict_number[id];
   }
-  bool DictIsNumber(DataId id) const { return index_->dict_is_number[id]; }
-  double DictNumber(DataId id) const { return index_->dict_numbers[id]; }
 
   // --- navigation (mirrors DSL operator semantics, Fig. 7) ----------------
 
   /// All children of `id` with the given tag, in document order.
-  void ChildrenWithTag(NodeId id, TagId tag, std::vector<NodeId>* out) const;
+  std::span<const NodeId> ChildrenWithTag(NodeId id, TagId tag) const;
   /// The child of `id` with the given tag and position, or kInvalidNode.
   NodeId ChildWithTagPos(NodeId id, TagId tag, int32_t pos) const;
   /// All proper descendants of `id` with the given tag, in preorder.
-  void DescendantsWithTag(NodeId id, TagId tag, std::vector<NodeId>* out) const;
-  /// Parent, or kInvalidNode for the root.
-  NodeId Parent(NodeId id) const { return nodes_[id].parent; }
-
-  /// Allocation-free variants, valid only while frozen: spans into the
-  /// index arrays. ChildrenWithTagSpan is the (parent,tag) CSR slice in
-  /// document order; DescendantsWithTagSpan is the posting-list subrange
-  /// in preorder — both identical in content and order to the vector APIs.
-  std::span<const NodeId> ChildrenWithTagSpan(NodeId id, TagId tag) const;
-  std::span<const NodeId> DescendantsWithTagSpan(NodeId id, TagId tag) const;
+  std::span<const NodeId> DescendantsWithTag(NodeId id, TagId tag) const;
 
   /// Depth of the node (root = 0).
   int Depth(NodeId id) const;
 
   /// The set of distinct (tag) and (tag,pos) pairs present in the tree;
   /// used as the DFA alphabet (Fig. 9) and for node-extractor enumeration.
+  /// Pairs come in first-seen node order.
   std::vector<TagId> AllTags() const;
-  std::vector<std::pair<TagId, int32_t>> AllTagPosPairs() const;
+  const std::vector<std::pair<TagId, int32_t>>& AllTagPosPairs() const;
 
   /// All data values stored at leaves (the constant pool for predicate
   /// universe rule (4), Fig. 10). Deduplicated, in first-seen order.
   std::vector<std::string> AllDataValues() const;
 
-  /// Number of "elements" as counted in the paper's Table 1 (#Elements):
-  /// nodes in the tree.
-  size_t NumElements() const { return nodes_.size(); }
-
   /// Renders the tree as an indented debug string (one node per line).
   std::string ToDebugString() const;
 
  private:
-  NodeId NewNode(NodeId parent, std::string_view tag);
-  /// Locates the (id, tag) group, or nullptr. Requires frozen().
-  const FrozenIndex::TagGroup* FindGroup(NodeId id, TagId tag) const;
+  static constexpr uint8_t kAttributeFlag = 1;
+  static constexpr uint8_t kTextRunFlag = 2;
 
-  std::vector<Node> nodes_;
-  SymbolTable tags_;
-  /// (parent, tag) → number of children with that tag so far; makes pos
-  /// assignment O(1) instead of a sibling scan (which is quadratic for
-  /// high-fanout parents such as the root of a million-element document).
-  /// Survives freeze/thaw so building can resume after a thaw.
-  std::unordered_map<uint64_t, int32_t> pos_counters_;
-  /// Shared so copies of a frozen tree share the immutable index.
-  std::shared_ptr<const FrozenIndex> index_;
-  /// Whether *this tree's* child vectors were released (the index itself
-  /// is compaction-agnostic — a copy may share it without being compact).
-  bool compact_ = false;
+  /// The arrays of one tree. The builder appends tag, parent, data and
+  /// flags; Finish() derives the rest. Per-node arrays are indexed by
+  /// NodeId.
+  struct Storage {
+    Dictionary tags;
+    Dictionary dict;
+
+    std::vector<TagId> tag;
+    std::vector<NodeId> parent;
+    /// Dictionary id of the node's data, or kInvalidData.
+    std::vector<DataId> data;
+    /// kAttributeFlag / kTextRunFlag bits.
+    std::vector<uint8_t> flags;
+
+    /// Rank among the preceding siblings that share the tag (0-based).
+    std::vector<int32_t> pos;
+    /// Half-open end of the subtree: m is a proper descendant of n iff
+    /// n < m < end[n].
+    std::vector<NodeId> end;
+    /// Children of n, ordered by (tag, document order), are
+    /// child_by_tag[child_begin[n] .. child_begin[n + 1]); so the children
+    /// with one tag are a contiguous run, the k-th of which has pos k.
+    std::vector<int32_t> child_begin;  ///< num_nodes + 1 entries
+    std::vector<NodeId> child_by_tag;  ///< num_nodes - 1 entries
+    /// Nodes with tag t, in preorder, are
+    /// postings[posting_begin[t] .. posting_begin[t + 1]).
+    std::vector<int32_t> posting_begin;  ///< num_tags + 1 entries
+    std::vector<NodeId> postings;
+    /// Per dictionary entry: ParseNumber of the value.
+    std::vector<std::optional<double>> dict_number;
+    /// Distinct (tag, pos) pairs of non-root nodes in first-seen node order.
+    std::vector<std::pair<TagId, int32_t>> tag_pos_pairs;
+  };
+
+  friend class HdtBuilder;
+  explicit Hdt(std::shared_ptr<const Storage> s) : s_(std::move(s)) {}
+
+  std::shared_ptr<const Storage> s_;
+};
+
+/// Emits one Hdt. Nodes are appended under any existing node; the parsers
+/// append in document order (preorder), which makes Finish() a few linear
+/// passes. Appending elsewhere is allowed too (tests, tree edits): Finish()
+/// then renumbers the nodes to preorder, so builder ids and tree ids
+/// differ.
+class HdtBuilder {
+ public:
+  /// Creates the root node. Must be called exactly once, first.
+  NodeId AddRoot(std::string_view tag);
+
+  /// Appends a child under `parent`; its pos is the number of children of
+  /// `parent` with the same tag appended before it. If `data` is supplied
+  /// the node is created as a data-carrying leaf.
+  NodeId AddChild(NodeId parent, std::string_view tag);
+  NodeId AddChild(NodeId parent, std::string_view tag, std::string_view data);
+
+  /// Appends an attribute-encoded leaf child (see Hdt::IsAttribute).
+  NodeId AddAttribute(NodeId parent, std::string_view name,
+                      std::string_view value);
+
+  /// Appends a text-run leaf child tagged `text` (see Hdt::IsTextRun).
+  NodeId AddTextRun(NodeId parent, std::string_view data);
+
+  /// Attaches data to an existing node, making it a data-carrying leaf.
+  /// The node must not get children (Definition 1: only leaves hold data).
+  void SetLeafData(NodeId id, std::string_view data);
+
+  /// Builds the indexed tree and leaves the builder empty.
+  Hdt Finish();
+
+ private:
+  NodeId Append(NodeId parent, std::string_view tag, DataId data,
+                uint8_t flags);
+  void Renumber();
+  void ReorderDictionary();
+
+  Hdt::Storage s_;
+  /// The rightmost path (root to the last node) while every node so far
+  /// was appended in preorder.
+  std::vector<NodeId> open_;
+  bool preorder_ = true;
 };
 
 }  // namespace mitra::hdt

@@ -131,7 +131,7 @@ class Parser {
         only = c.el;
       }
     }
-    hdt::Hdt tree;
+    hdt::HdtBuilder tree;
     if (element_children == 1 && !has_text) {
       EncodeElement(arena_[only], hdt::kInvalidNode, &tree);
     } else if (doc.children.empty()) {
@@ -140,7 +140,7 @@ class Parser {
       El wrapper{"html", {}, doc.children};
       EncodeElement(wrapper, hdt::kInvalidNode, &tree);
     }
-    return tree;
+    return tree.Finish();
   }
 
  private:
@@ -305,7 +305,8 @@ class Parser {
 
   /// Converts the intermediate tree to the HDT encoding shared with the
   /// XML plug-in.
-  void EncodeElement(const El& el, hdt::NodeId parent, hdt::Hdt* tree) {
+  void EncodeElement(const El& el, hdt::NodeId parent,
+                     hdt::HdtBuilder* tree) {
     hdt::NodeId node = parent == hdt::kInvalidNode
                            ? tree->AddRoot(el.tag)
                            : tree->AddChild(parent, el.tag);

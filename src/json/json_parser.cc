@@ -1,5 +1,6 @@
 #include "json/json_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -14,43 +15,38 @@ namespace {
 /// worst-case stack usage a few hundred frames regardless of input size.
 constexpr int kMaxNestingDepth = 256;
 
-/// Recursive-descent RFC 8259 parser building the HDT encoding directly.
+/// Recursive-descent RFC 8259 parser emitting the HDT encoding into a
+/// builder.
 class Parser {
  public:
   explicit Parser(std::string_view in, common::Governor* gov = nullptr)
       : in_(in), gov_(gov) {}
 
   Result<hdt::Hdt> Parse() {
-    hdt::Hdt tree;
-    hdt::NodeId root = tree.AddRoot("root");
+    MITRA_RETURN_IF_ERROR(ChargeNode());
+    hdt::NodeId root = tree_.AddRoot("root");
     SkipWs();
     if (AtEnd()) return Err("empty document");
     char c = Peek();
     if (c == '{') {
-      MITRA_RETURN_IF_ERROR(ParseObjectMembers(&tree, root, 0));
+      MITRA_RETURN_IF_ERROR(ParseObjectMembers(root, 0));
     } else if (c == '[') {
-      MITRA_RETURN_IF_ERROR(ParseArray(&tree, root, "item", 0));
+      MITRA_RETURN_IF_ERROR(ParseArray(root, "item", 0));
     } else {
-      MITRA_ASSIGN_OR_RETURN(std::string lexeme, ParsePrimitive());
-      tree.AddChild(root, "value", lexeme);
+      std::string buf;
+      MITRA_ASSIGN_OR_RETURN(std::string_view lexeme, ParsePrimitive(&buf));
+      MITRA_RETURN_IF_ERROR(ChargeNode());
+      tree_.AddChild(root, "value", lexeme);
     }
     SkipWs();
     if (!AtEnd()) return Err("trailing content after document");
-    return tree;
+    return tree_.Finish();
   }
 
  private:
   bool AtEnd() const { return pos_ >= in_.size(); }
   char Peek() const { return in_[pos_]; }
-  void Advance() {
-    if (in_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
+  void Advance() { ++pos_; }
   bool Consume(char c) {
     if (!AtEnd() && Peek() == c) {
       Advance();
@@ -64,26 +60,33 @@ class Parser {
       Advance();
     }
   }
+  /// A parse error at the cursor. Line and column (both from 1) are
+  /// counted here, from the byte offset, rather than on every advance.
   Status Err(std::string msg) const {
-    return Status::ParseError("JSON " + std::to_string(line_) + ":" +
-                              std::to_string(col_) + ": " + std::move(msg));
+    const std::string_view done = in_.substr(0, pos_);
+    const size_t line_start = done.rfind('\n') + 1;  // npos + 1 == 0
+    const size_t line =
+        1 + static_cast<size_t>(std::count(done.begin(), done.end(), '\n'));
+    const size_t col = 1 + pos_ - line_start;
+    return Status::ParseError("JSON " + std::to_string(line) + ":" +
+                              std::to_string(col) + ": " + std::move(msg));
   }
 
   /// Parses the members of an object (including braces) and attaches each
   /// key-value pair under `parent`.
-  Status ParseObjectMembers(hdt::Hdt* tree, hdt::NodeId parent,
-                            int depth) {
+  Status ParseObjectMembers(hdt::NodeId parent, int depth) {
     if (depth > kMaxNestingDepth) return Err("value nesting too deep");
     if (!Consume('{')) return Err("expected '{'");
     SkipWs();
     if (Consume('}')) return Status::OK();
+    std::string key_buf;
     while (true) {
       SkipWs();
-      MITRA_ASSIGN_OR_RETURN(std::string key, ParseString());
+      MITRA_ASSIGN_OR_RETURN(std::string_view key, ParseString(&key_buf));
       SkipWs();
       if (!Consume(':')) return Err("expected ':' after object key");
       SkipWs();
-      MITRA_RETURN_IF_ERROR(ParseValue(tree, parent, key, depth));
+      MITRA_RETURN_IF_ERROR(ParseValue(parent, key, depth));
       SkipWs();
       if (Consume(',')) continue;
       if (Consume('}')) return Status::OK();
@@ -91,55 +94,49 @@ class Parser {
     }
   }
 
+  /// Charges one new tree node to the governor.
+  Status ChargeNode() {
+    if (gov_ == nullptr) return Status::OK();
+    return gov_->ChargeBytes(hdt::kBytesPerNode, "alloc/json-node");
+  }
+
   /// Parses a value appearing under key `key` and encodes it under `parent`.
-  Status ParseValue(hdt::Hdt* tree, hdt::NodeId parent,
-                    const std::string& key, int depth) {
+  /// An array makes no node of its own: its elements are `key` siblings.
+  Status ParseValue(hdt::NodeId parent, std::string_view key, int depth) {
     MITRA_GOV_CHECK(gov_, "json/parse");
-    if (gov_ != nullptr) {
-      MITRA_RETURN_IF_ERROR(gov_->ChargeBytes(
-          key.size() + sizeof(hdt::Node), "alloc/json-node"));
-    }
     if (AtEnd()) return Err("unexpected end of input in value");
     char c = Peek();
+    if (c == '[') return ParseArray(parent, key, depth + 1);
+    MITRA_RETURN_IF_ERROR(ChargeNode());
     if (c == '{') {
-      hdt::NodeId n = tree->AddChild(parent, key);
-      return ParseObjectMembers(tree, n, depth + 1);
+      hdt::NodeId n = tree_.AddChild(parent, key);
+      return ParseObjectMembers(n, depth + 1);
     }
-    if (c == '[') {
-      return ParseArray(tree, parent, key, depth + 1);
-    }
-    MITRA_ASSIGN_OR_RETURN(std::string lexeme, ParsePrimitive());
-    tree->AddChild(parent, key, lexeme);
+    MITRA_ASSIGN_OR_RETURN(std::string_view lexeme,
+                           ParsePrimitive(&value_buf_));
+    tree_.AddChild(parent, key, lexeme);
     return Status::OK();
   }
 
   /// Parses an array; element i becomes the i'th sibling tagged `key`
   /// under `parent` (Example 2's encoding).
-  Status ParseArray(hdt::Hdt* tree, hdt::NodeId parent,
-                    const std::string& key, int depth) {
+  Status ParseArray(hdt::NodeId parent, std::string_view key, int depth) {
     if (depth > kMaxNestingDepth) return Err("value nesting too deep");
     if (!Consume('[')) return Err("expected '['");
     SkipWs();
     if (Consume(']')) return Status::OK();
     while (true) {
       SkipWs();
-      MITRA_GOV_CHECK(gov_, "json/parse");
-      if (gov_ != nullptr) {
-        MITRA_RETURN_IF_ERROR(gov_->ChargeBytes(
-            key.size() + sizeof(hdt::Node), "alloc/json-node"));
-      }
       if (AtEnd()) return Err("unterminated array");
-      char c = Peek();
-      if (c == '{') {
-        hdt::NodeId n = tree->AddChild(parent, key);
-        MITRA_RETURN_IF_ERROR(ParseObjectMembers(tree, n, depth + 1));
-      } else if (c == '[') {
+      if (Peek() == '[') {
         // Nested array: wrap in a node and reuse the key for elements.
-        hdt::NodeId n = tree->AddChild(parent, key);
-        MITRA_RETURN_IF_ERROR(ParseArray(tree, n, key, depth + 1));
+        MITRA_GOV_CHECK(gov_, "json/parse");
+        MITRA_RETURN_IF_ERROR(ChargeNode());
+        hdt::NodeId n = tree_.AddChild(parent, key);
+        MITRA_RETURN_IF_ERROR(ParseArray(n, key, depth + 1));
       } else {
-        MITRA_ASSIGN_OR_RETURN(std::string lexeme, ParsePrimitive());
-        tree->AddChild(parent, key, lexeme);
+        // An object or primitive element, encoded like a `key` member.
+        MITRA_RETURN_IF_ERROR(ParseValue(parent, key, depth));
       }
       SkipWs();
       if (Consume(',')) continue;
@@ -148,34 +145,35 @@ class Parser {
     }
   }
 
-  /// Parses a string, number, or literal, returning its data string.
-  Result<std::string> ParsePrimitive() {
+  /// Parses a string, number, or literal, returning its data string: a
+  /// view of the input, or of `*buf` when a string had escapes.
+  Result<std::string_view> ParsePrimitive(std::string* buf) {
     char c = Peek();
-    if (c == '"') return ParseString();
+    if (c == '"') return ParseString(buf);
     if (c == 't') {
-      if (ConsumeLit("true")) return std::string("true");
+      if (ConsumeLit("true")) return std::string_view("true");
       return Err("bad literal");
     }
     if (c == 'f') {
-      if (ConsumeLit("false")) return std::string("false");
+      if (ConsumeLit("false")) return std::string_view("false");
       return Err("bad literal");
     }
     if (c == 'n') {
-      if (ConsumeLit("null")) return std::string("null");
+      if (ConsumeLit("null")) return std::string_view("null");
       return Err("bad literal");
     }
     return ParseNumberLexeme();
   }
 
   bool ConsumeLit(std::string_view lit) {
-    if (in_.substr(pos_).substr(0, lit.size()) == lit) {
-      for (size_t i = 0; i < lit.size(); ++i) Advance();
+    if (in_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
       return true;
     }
     return false;
   }
 
-  Result<std::string> ParseNumberLexeme() {
+  Result<std::string_view> ParseNumberLexeme() {
     size_t start = pos_;
     Consume('-');
     if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
@@ -206,18 +204,30 @@ class Parser {
         Advance();
       }
     }
-    return std::string(in_.substr(start, pos_ - start));
+    return in_.substr(start, pos_ - start);
   }
 
-  Result<std::string> ParseString() {
+  /// Parses a string literal. Returns a view of the input when the string
+  /// has no escapes, else of `*buf`, which receives the decoded text.
+  Result<std::string_view> ParseString(std::string* buf) {
     if (!Consume('"')) return Err("expected '\"'");
-    std::string out;
+    const size_t start = pos_;
+    while (!AtEnd() && Peek() != '"' && Peek() != '\\' &&
+           static_cast<unsigned char>(Peek()) >= 0x20) {
+      Advance();
+    }
+    if (!AtEnd() && Peek() == '"') {
+      Advance();
+      return in_.substr(start, pos_ - 1 - start);
+    }
+    std::string& out = *buf;
+    out.assign(in_.substr(start, pos_ - start));
     while (true) {
       if (AtEnd()) return Err("unterminated string");
       char c = Peek();
       if (c == '"') {
         Advance();
-        return out;
+        return std::string_view(out);
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return Err("unescaped control character in string");
@@ -320,8 +330,10 @@ class Parser {
   std::string_view in_;
   common::Governor* gov_ = nullptr;
   size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
+  hdt::HdtBuilder tree_;
+  /// Decoded text of the current escaped string value; the builder copies
+  /// it before the next value is read.
+  std::string value_buf_;
 };
 
 }  // namespace

@@ -33,10 +33,10 @@
 namespace mitra::json {
 
 struct JsonParseOptions {
-  /// Optional resource governor: the parser checks it once per container
-  /// value and charges bytes for every node it materializes, so a
-  /// poisoned or pathological document surfaces kResourceExhausted
-  /// instead of consuming unbounded memory/time.
+  /// Optional resource governor: the parser checks it once per value and
+  /// charges hdt::kBytesPerNode for every node it creates, so a poisoned
+  /// or pathological document surfaces kResourceExhausted instead of
+  /// consuming unbounded memory/time.
   common::Governor* governor = nullptr;
 };
 

@@ -85,7 +85,7 @@ struct Writer {
       return Status::InvalidArgument("tree nesting too deep to serialize (>" +
                                      std::to_string(kMaxWriteDepth) + ")");
     }
-    const std::span<const hdt::NodeId> children = t.Children(id);
+    const hdt::ChildRange children = t.Children(id);
     if (children.empty()) {
       out.append("{}");
       return Status();
@@ -94,7 +94,7 @@ struct Writer {
     std::vector<hdt::TagId> order;
     std::vector<std::vector<hdt::NodeId>> groups;
     for (hdt::NodeId c : children) {
-      hdt::TagId tag = t.node(c).tag;
+      hdt::TagId tag = t.Tag(c);
       size_t gi = 0;
       for (; gi < order.size(); ++gi) {
         if (order[gi] == tag) break;

@@ -1,7 +1,5 @@
 #include "pipeline/batch.h"
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -305,18 +303,18 @@ Result<BatchManifest> ParseManifestText(std::string_view text,
   MITRA_ASSIGN_OR_RETURN(hdt::Hdt tree, json::ParseJson(text));
   BatchManifest m;
   std::vector<std::string> doc_values;
-  for (hdt::NodeId child : tree.node(tree.root()).children) {
-    const std::string& tag = tree.NodeTagName(child);
+  for (hdt::NodeId child : tree.Children(tree.root())) {
+    const std::string_view tag = tree.NodeTagName(child);
     if (tag == "example") {
       if (!tree.HasData(child)) {
         return Status::InvalidArgument("manifest: 'example' must be a path");
       }
       m.example_doc = Resolve(base_dir, std::string(tree.Data(child)));
     } else if (tag == "tables") {
-      for (hdt::NodeId entry : tree.node(child).children) {
+      for (hdt::NodeId entry : tree.Children(child)) {
         if (!tree.HasData(entry)) {
           return Status::InvalidArgument(
-              "manifest: table '" + tree.NodeTagName(entry) +
+              "manifest: table '" + std::string(tree.NodeTagName(entry)) +
               "' must map to a CSV path");
         }
         m.tables.emplace_back(tree.NodeTagName(entry),
@@ -332,7 +330,8 @@ Result<BatchManifest> ParseManifestText(std::string_view text,
       }
       doc_values.push_back(std::string(tree.Data(child)));
     } else {
-      return Status::InvalidArgument("manifest: unknown key '" + tag + "'");
+      return Status::InvalidArgument("manifest: unknown key '" +
+                                     std::string(tag) + "'");
     }
   }
   if (m.example_doc.empty()) {
@@ -413,7 +412,9 @@ std::string BatchReport::ToJson() const {
     out += ",\"seconds\":" + JsonDouble(d.seconds);
     out += ",\"rows_emitted\":" + std::to_string(d.rows_emitted);
     out += ",\"attempts\":" + std::to_string(d.attempts);
-    out += ",\"peak_rss_kb\":" + std::to_string(d.peak_rss_kb);
+    if (d.peak_rss_kb > 0) {
+      out += ",\"peak_rss_kb\":" + std::to_string(d.peak_rss_kb);
+    }
     if (!d.hard_faults.empty()) {
       out += ",\"hard_fault\":" +
              HardFaultJson(d.hard_faults.back(), d.hard_faults.size());
@@ -726,10 +727,6 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
       out.attempts = res.retry.attempts;
       out.trail = std::move(res.retry.trail);
       out.seconds = res.seconds;
-      struct rusage ru;
-      std::memset(&ru, 0, sizeof(ru));
-      ::getrusage(RUSAGE_SELF, &ru);
-      out.peak_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
       finish_doc(d, std::move(out));
     });
   }

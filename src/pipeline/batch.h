@@ -142,9 +142,10 @@ struct DocReport {
   /// One line per failed attempt, from common::RetryResult::trail; also
   /// written into the quarantine report.
   std::vector<std::string> retry_trail;
-  /// Peak RSS attributed to this document in kB: the executing worker's
-  /// rusage under kProcess, the whole process's under kNone. 0 when the
-  /// document did not execute this run.
+  /// Peak RSS of the worker process that executed this document, in kB
+  /// (kProcess only). 0, and left out of ToJson(), when no worker ran it:
+  /// in-process (kNone) documents share one process, so no per-document
+  /// figure exists, and resumed documents did not execute this run.
   std::uint64_t peak_rss_kb = 0;
   /// Worker deaths attributed to this document (kProcess only), oldest
   /// first; the last entry is the quarantining fault when outcome is

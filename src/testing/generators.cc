@@ -42,10 +42,23 @@ const char* PickTag(Rng* rng) {
   return kTags[rng->Below(sizeof(kTags) / sizeof(char*))];
 }
 
-/// Recursively grows an XML- or JSON-shaped subtree under `parent`,
-/// spending at most `*budget` nodes.
-void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
-                  hdt::NodeId parent, int depth, int* budget) {
+/// What the shape rules below need to know about the children already
+/// grown under one parent.
+struct GrownKids {
+  std::vector<std::string> tags;  ///< in document order
+  bool last_is_text_run = false;
+
+  void Note(std::string tag, bool text_run = false) {
+    tags.push_back(std::move(tag));
+    last_is_text_run = text_run;
+  }
+};
+
+/// Recursively grows an XML- or JSON-shaped subtree under `parent`, whose
+/// children so far are `kids`, spending at most `*budget` nodes.
+void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::HdtBuilder* t,
+                  hdt::NodeId parent, GrownKids* kids, int depth,
+                  int* budget) {
   if (*budget <= 0 || depth > 5) return;
 
   if (opts.xml_shape) {
@@ -56,6 +69,7 @@ void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
         // Unique names per element: pick disjoint indices.
         const char* name = kAttrNames[(rng->Below(2) + 2 * i) % 4];
         t->AddAttribute(parent, name, PickData(rng, opts.tricky_data));
+        kids->Note(name);
         --*budget;
       }
     }
@@ -64,20 +78,28 @@ void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
       uint32_t kind = rng->Below(10);
       if (kind < 5) {
         // Data leaf (never gets attributes or children — parser image).
-        t->AddChild(parent, PickTag(rng), PickData(rng, opts.tricky_data));
+        // Drawn value first: the documents a seed yields depend on the
+        // order of the draws.
+        const std::string data = PickData(rng, opts.tricky_data);
+        const char* tag = PickTag(rng);
+        t->AddChild(parent, tag, data);
+        kids->Note(tag);
         --*budget;
       } else if (kind < 8) {
-        hdt::NodeId c = t->AddChild(parent, PickTag(rng));
+        const char* tag = PickTag(rng);
+        hdt::NodeId c = t->AddChild(parent, tag);
+        kids->Note(tag);
         --*budget;
-        GrowChildren(rng, opts, t, c, depth + 1, budget);
+        GrownKids grandkids;
+        GrowChildren(rng, opts, t, c, &grandkids, depth + 1, budget);
       } else {
         // Mixed-content text run: only valid when the element has other
         // children (a lone run would collapse into element data) and the
         // preceding child is not itself a run (adjacent character data
         // merges into one run on re-parse).
-        const auto siblings = t->Children(parent);
-        if (!siblings.empty() && !t->IsTextRun(siblings.back())) {
+        if (!kids->tags.empty() && !kids->last_is_text_run) {
           t->AddTextRun(parent, PickData(rng, opts.tricky_data));
+          kids->Note("text", /*text_run=*/true);
           --*budget;
         }
       }
@@ -93,9 +115,8 @@ void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
       for (int attempt = 0; attempt < 8 && key == nullptr; ++attempt) {
         const char* cand = PickTag(rng);
         bool used_before_tail = false;
-        const auto kids = t->Children(parent);
-        for (size_t s = 0; s + 1 < kids.size(); ++s) {
-          if (t->TagName(t->node(kids[s]).tag) == cand) {
+        for (size_t s = 0; s + 1 < kids->tags.size(); ++s) {
+          if (kids->tags[s] == cand) {
             used_before_tail = true;
             break;
           }
@@ -107,11 +128,14 @@ void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
       for (int i = 0; i < size && *budget > 0; ++i) {
         if (rng->Chance(3, 5) || depth >= 4) {
           t->AddChild(parent, key, PickData(rng, opts.tricky_data));
+          kids->Note(key);
           --*budget;
         } else {
           hdt::NodeId c = t->AddChild(parent, key);
+          kids->Note(key);
           --*budget;
-          GrowChildren(rng, opts, t, c, depth + 1, budget);
+          GrownKids grandkids;
+          GrowChildren(rng, opts, t, c, &grandkids, depth + 1, budget);
         }
       }
     }
@@ -121,45 +145,48 @@ void GrowChildren(Rng* rng, const DocGenOptions& opts, hdt::Hdt* t,
 }  // namespace
 
 hdt::Hdt GenerateDocument(Rng* rng, const DocGenOptions& opts) {
-  hdt::Hdt t;
+  hdt::HdtBuilder t;
   hdt::NodeId root = t.AddRoot(opts.xml_shape ? "r" : "root");
+  GrownKids kids;
   int budget = opts.max_nodes - 1;
   // Keep growing top-level sections until the budget is spent, so small
   // budgets still produce multi-child roots most of the time.
   int guard = 0;
   while (budget > 0 && guard++ < 8) {
-    GrowChildren(rng, opts, &t, root, 0, &budget);
+    GrowChildren(rng, opts, &t, root, &kids, 0, &budget);
   }
-  return t;
+  return t.Finish();
 }
 
 hdt::Hdt EnlargeDocument(Rng* rng, const hdt::Hdt& tree, int extra_subtrees,
                          const DocGenOptions& opts) {
-  hdt::Hdt out = CopyTree(tree);
-  if (out.empty() || out.HasData(out.root())) return out;
+  if (tree.empty() || tree.HasData(tree.root())) return CopyTree(tree);
+  hdt::HdtBuilder out;
+  hdt::NodeId root = CopyInto(tree, &out);
   // Replicate existing top-level subtrees with mutated string data, so the
   // grown document exercises the same tags at the same depths with fresh
   // values (numeric data is kept: re-numbering it would change numeric
   // predicate semantics in uninteresting ways).
-  const auto top = tree.Children(tree.root());
+  const hdt::ChildRange kids = tree.Children(tree.root());
+  const std::vector<hdt::NodeId> top(kids.begin(), kids.end());
   if (!top.empty()) {
     for (int i = 0; i < extra_subtrees; ++i) {
       hdt::NodeId pick = top[rng->Below(static_cast<uint32_t>(top.size()))];
-      AppendSubtreeCopy(tree, pick, &out, out.root(),
-                        "#e" + std::to_string(i));
+      AppendSubtreeCopy(tree, pick, &out, root, "#e" + std::to_string(i));
     }
   }
   // Plus one fresh random subtree for new structure.
   int budget = 6;
-  hdt::NodeId section = out.AddChild(out.root(), "a");
-  GrowChildren(rng, opts, &out, section, 1, &budget);
-  return out;
+  hdt::NodeId section = out.AddChild(root, "a");
+  GrownKids section_kids;
+  GrowChildren(rng, opts, &out, section, &section_kids, 1, &budget);
+  return out.Finish();
 }
 
 dsl::Program GenerateProgram(Rng* rng, const hdt::Hdt& tree,
                              const ProgGenOptions& opts) {
   std::vector<std::string> tags;
-  for (hdt::TagId t : tree.AllTags()) tags.push_back(tree.TagName(t));
+  for (hdt::TagId t : tree.AllTags()) tags.emplace_back(tree.TagName(t));
   if (tags.empty()) tags.push_back("a");
   std::vector<std::string> values = tree.AllDataValues();
 

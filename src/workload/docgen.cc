@@ -96,8 +96,9 @@ std::string MutateValue(const CopyContext& ctx, std::string_view data) {
   return std::string(data) + ctx.suffix;
 }
 
-void CopySubtree(const hdt::Hdt& src, hdt::NodeId from, hdt::Hdt* dst,
-                 hdt::NodeId parent, const CopyContext& ctx) {
+void CopySubtree(const hdt::Hdt& src, hdt::NodeId from,
+                 hdt::HdtBuilder* dst, hdt::NodeId parent,
+                 const CopyContext& ctx) {
   hdt::NodeId copy =
       src.HasData(from)
           ? dst->AddChild(parent, src.NodeTagName(from),
@@ -113,12 +114,12 @@ void CopySubtree(const hdt::Hdt& src, hdt::NodeId from, hdt::Hdt* dst,
 hdt::Hdt ReplicateDocument(const hdt::Hdt& tree, int factor,
                            bool mutate_strings,
                            const std::set<std::string>* preserve) {
-  hdt::Hdt out;
-  if (tree.empty()) return out;
+  if (tree.empty()) return hdt::Hdt();
+  hdt::HdtBuilder out;
   hdt::NodeId root = out.AddRoot(tree.NodeTagName(tree.root()));
   if (tree.HasData(tree.root())) {
     out.SetLeafData(root, tree.Data(tree.root()));
-    return out;
+    return out.Finish();
   }
   for (int k = 0; k < factor; ++k) {
     CopyContext ctx{mutate_strings, preserve, k,
@@ -129,7 +130,7 @@ hdt::Hdt ReplicateDocument(const hdt::Hdt& tree, int factor,
       CopySubtree(tree, c, &out, root, ctx);
     }
   }
-  return out;
+  return out.Finish();
 }
 
 size_t SocialNetworkApproxElements(int num_persons, uint32_t seed) {

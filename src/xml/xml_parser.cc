@@ -1,5 +1,6 @@
 #include "xml/xml_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <vector>
 
@@ -22,7 +23,7 @@ bool IsNameChar(char c) {
          c == '-' || c == '.';
 }
 
-/// Recursive-descent XML parser building the HDT encoding directly.
+/// Recursive-descent XML parser emitting the HDT encoding into a builder.
 class Parser {
  public:
   explicit Parser(std::string_view in, common::Governor* gov = nullptr)
@@ -31,11 +32,10 @@ class Parser {
   Result<hdt::Hdt> Parse() {
     SkipProlog();
     if (AtEnd()) return Err("document has no root element");
-    hdt::Hdt tree;
-    MITRA_RETURN_IF_ERROR(ParseElement(&tree, hdt::kInvalidNode));
+    MITRA_RETURN_IF_ERROR(ParseElement(hdt::kInvalidNode));
     SkipMisc();
     if (!AtEnd()) return Err("trailing content after root element");
-    return tree;
+    return tree_.Finish();
   }
 
  private:
@@ -45,15 +45,7 @@ class Parser {
   char PeekAt(size_t off) const {
     return pos_ + off < in_.size() ? in_[pos_ + off] : '\0';
   }
-  void Advance() {
-    if (in_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
+  void Advance() { ++pos_; }
   bool Consume(char c) {
     if (!AtEnd() && Peek() == c) {
       Advance();
@@ -62,8 +54,8 @@ class Parser {
     return false;
   }
   bool ConsumeLit(std::string_view lit) {
-    if (in_.substr(pos_).substr(0, lit.size()) == lit) {
-      for (size_t i = 0; i < lit.size(); ++i) Advance();
+    if (in_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
       return true;
     }
     return false;
@@ -73,9 +65,16 @@ class Parser {
       Advance();
     }
   }
+  /// A parse error at the cursor. Line and column (both from 1) are
+  /// counted here, from the byte offset, rather than on every advance.
   Status Err(std::string msg) const {
-    return Status::ParseError("XML " + std::to_string(line_) + ":" +
-                              std::to_string(col_) + ": " + std::move(msg));
+    const std::string_view done = in_.substr(0, pos_);
+    const size_t line_start = done.rfind('\n') + 1;  // npos + 1 == 0
+    const size_t line =
+        1 + static_cast<size_t>(std::count(done.begin(), done.end(), '\n'));
+    const size_t col = 1 + pos_ - line_start;
+    return Status::ParseError("XML " + std::to_string(line) + ":" +
+                              std::to_string(col) + ": " + std::move(msg));
   }
 
   // --- structure ----------------------------------------------------------
@@ -119,16 +118,17 @@ class Parser {
   }
 
   void SkipUntil(std::string_view terminator) {
-    while (!AtEnd() && !ConsumeLit(terminator)) Advance();
+    const size_t at = in_.find(terminator, pos_);
+    pos_ = at == std::string_view::npos ? in_.size() : at + terminator.size();
   }
 
-  Result<std::string> ParseName() {
+  Result<std::string_view> ParseName() {
     if (AtEnd() || !IsNameStartChar(Peek())) {
       return Err("expected a name");
     }
     size_t start = pos_;
     while (!AtEnd() && IsNameChar(Peek())) Advance();
-    return std::string(in_.substr(start, pos_ - start));
+    return in_.substr(start, pos_ - start);
   }
 
   Result<std::string> ParseAttrValue() {
@@ -144,41 +144,39 @@ class Parser {
   }
 
   /// Parses one element; creates the node under `parent` (or the root).
-  Status ParseElement(hdt::Hdt* tree, hdt::NodeId parent, int depth = 0) {
+  Status ParseElement(hdt::NodeId parent, int depth = 0) {
     // Recursive descent: bound nesting so hostile input degrades to a
     // ParseError instead of exhausting the stack.
     if (depth > kMaxNestingDepth) return Err("element nesting too deep");
     MITRA_GOV_CHECK(gov_, "xml/parse");
     if (!Consume('<')) return Err("expected '<'");
-    MITRA_ASSIGN_OR_RETURN(std::string name, ParseName());
-    if (gov_ != nullptr) {
-      MITRA_RETURN_IF_ERROR(gov_->ChargeBytes(
-          name.size() + sizeof(hdt::Node), "alloc/xml-node"));
-    }
+    MITRA_ASSIGN_OR_RETURN(std::string_view name, ParseName());
 
     struct Attr {
-      std::string name, value;
+      std::string_view name;
+      std::string value;
     };
     std::vector<Attr> attrs;
     while (true) {
       SkipWs();
-      if (AtEnd()) return Err("unterminated start tag <" + name);
+      if (AtEnd()) return Err("unterminated start tag <" + std::string(name));
       if (Peek() == '/' || Peek() == '>') break;
-      MITRA_ASSIGN_OR_RETURN(std::string aname, ParseName());
+      MITRA_ASSIGN_OR_RETURN(std::string_view aname, ParseName());
       SkipWs();
       if (!Consume('=')) return Err("expected '=' after attribute name");
       SkipWs();
       MITRA_ASSIGN_OR_RETURN(std::string avalue, ParseAttrValue());
-      attrs.push_back({std::move(aname), std::move(avalue)});
+      attrs.push_back({aname, std::move(avalue)});
     }
 
     bool self_closing = Consume('/');
     if (!Consume('>')) return Err("expected '>'");
 
+    MITRA_RETURN_IF_ERROR(ChargeNodes(1 + attrs.size()));
     hdt::NodeId node = parent == hdt::kInvalidNode
-                           ? tree->AddRoot(name)
-                           : tree->AddChild(parent, name);
-    for (const Attr& a : attrs) tree->AddAttribute(node, a.name, a.value);
+                           ? tree_.AddRoot(name)
+                           : tree_.AddChild(parent, name);
+    for (const Attr& a : attrs) tree_.AddAttribute(node, a.name, a.value);
     if (self_closing) return Status::OK();
 
     // Content: interleave text runs and child elements until </name>.
@@ -192,21 +190,23 @@ class Parser {
     };
 
     while (true) {
-      if (AtEnd()) return Err("unterminated element <" + name + ">");
+      if (AtEnd()) {
+        return Err("unterminated element <" + std::string(name) + ">");
+      }
       if (Peek() == '<') {
         if (ConsumeLit("<!--")) {
           SkipUntil("-->");
           continue;
         }
         if (ConsumeLit("<![CDATA[")) {
-          size_t start = pos_;
-          while (!AtEnd() && !(Peek() == ']' && PeekAt(1) == ']' &&
-                               PeekAt(2) == '>')) {
-            Advance();
+          const size_t start = pos_;
+          const size_t close = in_.find("]]>", pos_);
+          if (close == std::string_view::npos) {
+            pos_ = in_.size();
+            return Err("unterminated CDATA section");
           }
-          if (AtEnd()) return Err("unterminated CDATA section");
-          pending_text.append(in_.substr(start, pos_ - start));
-          ConsumeLit("]]>");
+          pending_text.append(in_.substr(start, close - start));
+          pos_ = close + 3;
           continue;
         }
         if (PeekAt(1) == '?') {
@@ -216,12 +216,12 @@ class Parser {
         if (PeekAt(1) == '/') {
           Advance();  // '<'
           Advance();  // '/'
-          MITRA_ASSIGN_OR_RETURN(std::string close, ParseName());
+          MITRA_ASSIGN_OR_RETURN(std::string_view close, ParseName());
           SkipWs();
           if (!Consume('>')) return Err("expected '>' in end tag");
           if (close != name) {
-            return Err("mismatched end tag </" + close + ">, expected </" +
-                       name + ">");
+            return Err("mismatched end tag </" + std::string(close) +
+                       ">, expected </" + std::string(name) + ">");
           }
           break;
         }
@@ -229,11 +229,8 @@ class Parser {
         flush_text();
         saw_child_element = true;
         // Emit text runs seen so far in document order before the child.
-        for (std::string& run : text_runs) {
-          tree->AddTextRun(node, run);
-        }
-        text_runs.clear();
-        MITRA_RETURN_IF_ERROR(ParseElement(tree, node, depth + 1));
+        MITRA_RETURN_IF_ERROR(EmitTextRuns(node, &text_runs));
+        MITRA_RETURN_IF_ERROR(ParseElement(node, depth + 1));
       } else if (Peek() == '&') {
         size_t start = pos_;
         while (!AtEnd() && Peek() != ';') Advance();
@@ -244,26 +241,41 @@ class Parser {
             DecodeEntities(in_.substr(start, pos_ - start)));
         pending_text.append(decoded);
       } else {
-        pending_text.push_back(Peek());
-        Advance();
+        // Plain character data up to the next markup or entity.
+        const size_t start = pos_;
+        while (!AtEnd() && Peek() != '<' && Peek() != '&') Advance();
+        pending_text.append(in_.substr(start, pos_ - start));
       }
     }
 
     flush_text();
-    if (!saw_child_element && text_runs.size() == 1 && tree->IsLeaf(node)) {
-      // Pure text content: store as the element's own data (Fig. 4a).
-      tree->SetLeafData(node, text_runs[0]);
-    } else {
-      for (std::string& run : text_runs) tree->AddTextRun(node, run);
+    if (!saw_child_element && text_runs.size() == 1) {
+      // Pure text content (so no children at all): store it as the
+      // element's own data (Fig. 4a).
+      tree_.SetLeafData(node, text_runs[0]);
+      return Status::OK();
     }
+    return EmitTextRuns(node, &text_runs);
+  }
+
+  /// Charges `nodes` new tree nodes to the governor.
+  Status ChargeNodes(size_t nodes) {
+    if (gov_ == nullptr) return Status::OK();
+    return gov_->ChargeBytes(nodes * hdt::kBytesPerNode, "alloc/xml-node");
+  }
+
+  /// Appends the buffered text runs as `text` children of `node`.
+  Status EmitTextRuns(hdt::NodeId node, std::vector<std::string>* runs) {
+    MITRA_RETURN_IF_ERROR(ChargeNodes(runs->size()));
+    for (const std::string& run : *runs) tree_.AddTextRun(node, run);
+    runs->clear();
     return Status::OK();
   }
 
   std::string_view in_;
   common::Governor* gov_ = nullptr;
   size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
+  hdt::HdtBuilder tree_;
 };
 
 }  // namespace

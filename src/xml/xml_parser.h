@@ -33,9 +33,9 @@ namespace mitra::xml {
 
 struct XmlParseOptions {
   /// Optional resource governor: the parser checks it once per element
-  /// and charges bytes for every node it materializes, so a poisoned or
-  /// pathological document surfaces kResourceExhausted instead of
-  /// consuming unbounded memory/time.
+  /// and charges hdt::kBytesPerNode for every node it creates, so a
+  /// poisoned or pathological document surfaces kResourceExhausted
+  /// instead of consuming unbounded memory/time.
   common::Governor* governor = nullptr;
 };
 

@@ -19,16 +19,15 @@ Status WriteNode(const hdt::Hdt& t, hdt::NodeId id, const WriteOptions& opts,
     if (opts.pretty) out->push_back('\n');
   };
 
-  const hdt::Node& n = t.node(id);
-  const std::string& tag = t.NodeTagName(id);
+  const std::string_view tag = t.NodeTagName(id);
 
   // Only provenance-marked text runs render as character data; an element
   // that merely happens to be *named* `text` renders as a normal element
   // (otherwise `<text>x</text>` would collapse into its parent's data on
   // re-parse — a round-trip asymmetry the doc fuzzer surfaced).
-  if (n.is_text_run && n.has_data) {
+  if (t.IsTextRun(id) && t.HasData(id)) {
     indent();
-    out->append(EscapeText(n.data));
+    out->append(EscapeText(t.Data(id)));
     newline();
     return Status();
   }
@@ -38,7 +37,7 @@ Status WriteNode(const hdt::Hdt& t, hdt::NodeId id, const WriteOptions& opts,
   out->append(tag);
   // Attribute-encoded children render as real attributes.
   size_t non_attr_children = 0;
-  const std::span<const hdt::NodeId> children = t.Children(id);
+  const hdt::ChildRange children = t.Children(id);
   for (hdt::NodeId c : children) {
     if (t.IsAttribute(c)) {
       out->push_back(' ');
@@ -51,9 +50,9 @@ Status WriteNode(const hdt::Hdt& t, hdt::NodeId id, const WriteOptions& opts,
     }
   }
   if (non_attr_children == 0 && !children.empty()) {
-    if (n.has_data) {
+    if (t.HasData(id)) {
       out->push_back('>');
-      out->append(EscapeText(n.data));
+      out->append(EscapeText(t.Data(id)));
       out->append("</");
       out->append(tag);
       out->push_back('>');
@@ -64,9 +63,9 @@ Status WriteNode(const hdt::Hdt& t, hdt::NodeId id, const WriteOptions& opts,
     return Status();
   }
   if (children.empty()) {
-    if (n.has_data) {
+    if (t.HasData(id)) {
       out->push_back('>');
-      out->append(EscapeText(n.data));
+      out->append(EscapeText(t.Data(id)));
       out->append("</");
       out->append(tag);
       out->push_back('>');

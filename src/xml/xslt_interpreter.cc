@@ -272,9 +272,7 @@ class XPath {
       if (tag) {
         for (hdt::NodeId n : *current) {
           // The attribute axis matches only attribute-encoded children.
-          std::vector<hdt::NodeId> kids;
-          doc_.ChildrenWithTag(n, *tag, &kids);
-          for (hdt::NodeId k : kids) {
+          for (hdt::NodeId k : doc_.ChildrenWithTag(n, *tag)) {
             if (doc_.IsAttribute(k)) next.push_back(k);
           }
         }
@@ -286,9 +284,7 @@ class XPath {
       for (hdt::NodeId n : *current) {
         if (!doc_.IsAttribute(n)) next.push_back(n);
         for (hdt::TagId t : doc_.AllTags()) {
-          std::vector<hdt::NodeId> found;
-          doc_.DescendantsWithTag(n, t, &found);
-          for (hdt::NodeId d : found) {
+          for (hdt::NodeId d : doc_.DescendantsWithTag(n, t)) {
             if (!doc_.IsAttribute(d)) next.push_back(d);
           }
         }
@@ -307,9 +303,7 @@ class XPath {
       auto tag = doc_.LookupTag(name);
       if (tag) {
         for (hdt::NodeId n : *current) {
-          std::vector<hdt::NodeId> found;
-          doc_.DescendantsWithTag(n, *tag, &found);
-          for (hdt::NodeId d : found) {
+          for (hdt::NodeId d : doc_.DescendantsWithTag(n, *tag)) {
             if (!doc_.IsAttribute(d)) next.push_back(d);
           }
         }
@@ -330,10 +324,8 @@ class XPath {
       for (hdt::NodeId n : *current) {
         // The child axis matches element children only. The positional
         // form indexes among element children with this tag.
-        std::vector<hdt::NodeId> kids;
-        doc_.ChildrenWithTag(n, *tag, &kids);
         int at = 0;
-        for (hdt::NodeId c : kids) {
+        for (hdt::NodeId c : doc_.ChildrenWithTag(n, *tag)) {
           if (doc_.IsAttribute(c)) continue;
           ++at;
           if (k > 0) {
@@ -355,15 +347,11 @@ class XPath {
   /// its descendants' data in document order for internal nodes.
   std::string NodeString(hdt::NodeId n) const {
     if (doc_.HasData(n)) return std::string(doc_.Data(n));
+    // Node ids are preorder ranks: the descendants in document order are
+    // the ids inside the subtree's interval.
     std::string out;
-    const auto top = doc_.Children(n);
-    std::vector<hdt::NodeId> stack(top.rbegin(), top.rend());
-    while (!stack.empty()) {
-      hdt::NodeId cur = stack.back();
-      stack.pop_back();
-      if (doc_.HasData(cur)) out += std::string(doc_.Data(cur));
-      const auto ch = doc_.Children(cur);
-      for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
+    for (hdt::NodeId d = n + 1; d < doc_.SubtreeEnd(n); ++d) {
+      if (doc_.HasData(d)) out += doc_.Data(d);
     }
     return out;
   }
@@ -429,9 +417,8 @@ class Interpreter {
   hdt::NodeId FindByTag(hdt::NodeId from, std::string_view tag) const {
     auto id = sheet_.LookupTag(tag);
     if (!id) return hdt::kInvalidNode;
-    if (sheet_.node(from).tag == *id) return from;
-    std::vector<hdt::NodeId> found;
-    sheet_.DescendantsWithTag(from, *id, &found);
+    if (sheet_.Tag(from) == *id) return from;
+    auto found = sheet_.DescendantsWithTag(from, *id);
     return found.empty() ? hdt::kInvalidNode : found.front();
   }
 
@@ -445,7 +432,7 @@ class Interpreter {
 
   Status Walk(hdt::NodeId el, VarEnv* vars) {
     for (hdt::NodeId child : sheet_.Children(el)) {
-      const std::string& tag = sheet_.NodeTagName(child);
+      const std::string_view tag = sheet_.NodeTagName(child);
       if (tag == "xsl:for-each") {
         std::string select = Attr(child, "select");
         MITRA_ASSIGN_OR_RETURN(Value v,

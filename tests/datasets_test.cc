@@ -131,8 +131,7 @@ TEST(SocialNetworkGen, ShapeAndDeterminism) {
   EXPECT_EQ(t.NumElements(), SocialNetworkApproxElements(20, 1));
   auto persons = t.LookupTag("Person");
   ASSERT_TRUE(persons.has_value());
-  std::vector<hdt::NodeId> out;
-  t.ChildrenWithTag(t.root(), *persons, &out);
+  auto out = t.ChildrenWithTag(t.root(), *persons);
   EXPECT_EQ(out.size(), 20u);
 }
 

@@ -17,10 +17,10 @@ TEST(ReplicateDocument, FactorOneIsIdentity) {
 TEST(ReplicateDocument, FactorNScalesChildren) {
   hdt::Hdt t = test::ParseXmlOrDie("<r><a>1</a><a>2</a></r>");
   hdt::Hdt big = ReplicateDocument(t, 5);
-  EXPECT_EQ(big.node(big.root()).children.size(), 10u);
+  EXPECT_EQ(test::Kids(big, big.root()).size(), 10u);
   EXPECT_EQ(big.NumElements(), 11u);
   // Positions keep counting across copies.
-  EXPECT_EQ(big.node(big.node(big.root()).children[9]).pos, 9);
+  EXPECT_EQ(big.Pos(test::Kids(big, big.root())[9]), 9);
 }
 
 TEST(ReplicateDocument, MutationMakesValuesPerCopyUnique) {
@@ -29,12 +29,11 @@ TEST(ReplicateDocument, MutationMakesValuesPerCopyUnique) {
   std::vector<std::string> ids, nums;
   auto id_tag = big.LookupTag("id");
   auto n_tag = big.LookupTag("n");
-  std::vector<hdt::NodeId> out;
-  big.DescendantsWithTag(big.root(), *id_tag, &out);
+  auto out = big.DescendantsWithTag(big.root(), *id_tag);
   for (auto n : out) ids.emplace_back(big.Data(n));
-  out.clear();
-  big.DescendantsWithTag(big.root(), *n_tag, &out);
-  for (auto n : out) nums.emplace_back(big.Data(n));
+  for (auto n : big.DescendantsWithTag(big.root(), *n_tag)) {
+    nums.emplace_back(big.Data(n));
+  }
   // Copy 0 unchanged; strings suffixed, numbers offset per copy.
   EXPECT_EQ(ids, (std::vector<std::string>{"x1", "x1#1", "x1#2"}));
   ASSERT_EQ(nums.size(), 3u);
@@ -52,8 +51,7 @@ TEST(ReplicateDocument, PreservedValuesNotMutated) {
   std::set<std::string> preserve{"prod"};
   hdt::Hdt big = ReplicateDocument(t, 2, true, &preserve);
   auto env_tag = big.LookupTag("env");
-  std::vector<hdt::NodeId> out;
-  big.DescendantsWithTag(big.root(), *env_tag, &out);
+  auto out = big.DescendantsWithTag(big.root(), *env_tag);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(big.Data(out[0]), "prod");
   EXPECT_EQ(big.Data(out[1]), "prod");
@@ -83,8 +81,7 @@ TEST(SocialNetworkGen, RowCountMatchesPlan) {
   // Count Friend elements: two per undirected edge.
   auto friend_tag = t.LookupTag("Friend");
   ASSERT_TRUE(friend_tag.has_value());
-  std::vector<hdt::NodeId> out;
-  t.DescendantsWithTag(t.root(), *friend_tag, &out);
+  auto out = t.DescendantsWithTag(t.root(), *friend_tag);
   EXPECT_EQ(out.size(), SocialNetworkExpectedRows(30, 5));
 }
 

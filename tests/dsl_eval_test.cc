@@ -37,7 +37,7 @@ TEST(EvalColumn, PChildrenSelectsByPosition) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   auto nodes = EvalColumn(t, Col({{ColOp::kPChildren, "p", 1}}));
   ASSERT_EQ(nodes.size(), 1u);
-  EXPECT_EQ(t.node(nodes[0]).pos, 1);
+  EXPECT_EQ(t.Pos(nodes[0]), 1);
 }
 
 TEST(EvalColumn, Descendants) {

@@ -190,21 +190,23 @@ TEST_P(ExecutorPropertyTest, RandomProgramsAgree) {
 
   // Random tree over a small tag vocabulary.
   const char* tags[] = {"a", "b", "c"};
-  hdt::Hdt t;
-  hdt::NodeId root = t.AddRoot("r");
+  // Parents are picked at random, so the builder renumbers to preorder;
+  // only data-less nodes become parents (leaves with data stay leaves).
+  hdt::HdtBuilder builder;
+  hdt::NodeId root = builder.AddRoot("r");
   std::vector<hdt::NodeId> nodes{root};
   int num_nodes = 5 + pick(20);
   for (int i = 0; i < num_nodes; ++i) {
     hdt::NodeId parent = nodes[static_cast<size_t>(pick(
         static_cast<int>(nodes.size())))];
-    if (t.HasData(parent)) continue;  // leaves with data stay leaves
     const char* tag = tags[pick(3)];
     if (pick(2)) {
-      t.AddChild(parent, tag, std::to_string(pick(5)));
+      builder.AddChild(parent, tag, std::to_string(pick(5)));
     } else {
-      nodes.push_back(t.AddChild(parent, tag));
+      nodes.push_back(builder.AddChild(parent, tag));
     }
   }
+  const hdt::Hdt t = builder.Finish();
 
   // Random program: 1-3 columns, 0-2 atoms, 1-2 clauses.
   auto random_column = [&]() {

@@ -1,6 +1,7 @@
-// Golden-output tests: byte-exact snapshots of the SQL and XSLT code
-// generators and of every synthesized corpus and Table 2 program under
-// tests/golden/. Any intentional output change is refreshed with
+// Golden-output tests: byte-exact snapshots under tests/golden/ of the SQL
+// and XSLT code generators, of every synthesized corpus and Table 2
+// program, of the Table 2 program-cache keys and of the parsers' error
+// messages. Any intentional output change is refreshed with
 //
 //   UPDATE_GOLDEN=1 ctest -R Golden
 //
@@ -14,6 +15,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/synthesizer.h"
 #include "db/migrator.h"
@@ -188,6 +191,64 @@ TEST(Golden, SynthesizedPrograms) {
     }
   }
   CompareOrUpdateGolden("programs.txt", out);
+}
+
+// The program-cache key of every Table 2 example table. Equal keys mean
+// `.mpc` cache entries written by an earlier build still hit, so a change
+// to how trees are built must keep node ids, pos and leaf data.
+TEST(Golden, ProgramCacheKeys) {
+  std::string out;
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt example = ParseDoc(spec->format, spec->example_document);
+    for (const auto& [name, rows] : spec->example_tables) {
+      out += spec->name + "/" + name + "\t" +
+             db::ProgramCacheKey(example, test::MakeTable(rows)) + "\n";
+    }
+  }
+  CompareOrUpdateGolden("cache_keys.txt", out);
+}
+
+// The exact parse error (or node count) of every corpus document and
+// Table 2 example, each truncated at, and with the byte at, a fixed set of
+// offsets XOR-ed with 0x20 (which turns '{' into '[', '<' into a control
+// character, and flips the case of letters). The documents span several
+// lines, so this pins line and column numbers as well as messages.
+TEST(Golden, ParseErrors) {
+  constexpr size_t kOffsets = 16;
+  std::vector<std::pair<std::string, const std::string*>> docs;
+  std::vector<workload::DocFormat> formats;
+  const std::vector<workload::CorpusTask> corpus = workload::FullCorpus();
+  for (const workload::CorpusTask& task : corpus) {
+    docs.emplace_back("corpus " + task.id, &task.document);
+    formats.push_back(task.format);
+  }
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    docs.emplace_back("table2 " + spec->name, &spec->example_document);
+    formats.push_back(spec->format);
+  }
+  std::string out;
+  auto record = [&](const std::string& label, workload::DocFormat format,
+                    const std::string& text) {
+    Result<hdt::Hdt> tree = format == workload::DocFormat::kXml
+                                ? xml::ParseXml(text)
+                                : json::ParseJson(text);
+    out += label + "\t" +
+           (tree.ok() ? "ok " + std::to_string(tree->size()) + " nodes"
+                      : tree.status().ToString()) +
+           "\n";
+  };
+  for (size_t d = 0; d < docs.size(); ++d) {
+    const std::string& doc = *docs[d].second;
+    for (size_t k = 1; k < kOffsets; ++k) {
+      const size_t off = doc.size() * k / kOffsets;
+      const std::string at = docs[d].first + " @" + std::to_string(off);
+      record(at + " cut", formats[d], doc.substr(0, off));
+      std::string flipped = doc;
+      flipped[off] = static_cast<char>(flipped[off] ^ 0x20);
+      record(at + " flip", formats[d], flipped);
+    }
+  }
+  CompareOrUpdateGolden("parse_errors.txt", out);
 }
 
 }  // namespace

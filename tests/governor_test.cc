@@ -13,7 +13,9 @@
 #include "common/thread_pool.h"
 #include "dsl/reference_eval.h"
 #include "hdt/hdt.h"
+#include "json/json_parser.h"
 #include "json/json_writer.h"
+#include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
 namespace mitra::common {
@@ -199,11 +201,11 @@ TEST(ParallelForStatus, ExceptionPropagatesFromMinIndex) {
 
 /// A linear tower of depth `n`: <a><a>…<a>leaf</a>…</a></a>.
 hdt::Hdt Tower(int n) {
-  hdt::Hdt t;
+  hdt::HdtBuilder t;
   hdt::NodeId cur = t.AddRoot("a");
   for (int i = 0; i < n; ++i) cur = t.AddChild(cur, "a");
   t.AddChild(cur, "leaf", "v");
-  return t;
+  return t.Finish();
 }
 
 TEST(WriterDepthCap, XmlWriterRejectsTooDeepTree) {
@@ -237,6 +239,34 @@ TEST(ReferenceEvalDepth, RejectsTooManyColumns) {
   auto r = dsl::ReferenceEvalProgramNodeTuples(t, p, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// The parsers charge hdt::kBytesPerNode once per tree node they create:
+/// elements, attributes and text runs in XML; members, array elements and
+/// nested-array wrappers in JSON, but nothing for an array itself.
+TEST(ParserCharge, OneNodeSizePerCreatedNode) {
+  {
+    Governor gov;
+    xml::XmlParseOptions opts;
+    opts.governor = &gov;
+    auto t = xml::ParseXml(R"(<r a="1"><b>x</b>t<c k="2" m="3"/></r>)", opts);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    // r, @a, b, the text run "t", c, @k, @m.
+    ASSERT_EQ(t->size(), 7u);
+    EXPECT_EQ(gov.Usage().bytes, 7 * hdt::kBytesPerNode);
+  }
+  {
+    Governor gov;
+    json::JsonParseOptions opts;
+    opts.governor = &gov;
+    auto t = json::ParseJson(
+        R"({"a": [1, [2, 3], [], {"b": []}], "c": {}, "d": []})", opts);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    // root; a=1; the [2, 3] wrapper with a=2 and a=3; the [] wrapper; the
+    // {"b": []} member; c. `"b": []` and `"d": []` make no node.
+    ASSERT_EQ(t->size(), 8u);
+    EXPECT_EQ(gov.Usage().bytes, 8 * hdt::kBytesPerNode);
+  }
 }
 
 }  // namespace

@@ -42,8 +42,7 @@ TEST(HtmlParser, ImplicitLiClosing) {
   const hdt::Hdt& t = *r;
   auto li = t.LookupTag("li");
   ASSERT_TRUE(li.has_value());
-  std::vector<hdt::NodeId> out;
-  t.ChildrenWithTag(t.root(), *li, &out);
+  auto out = t.ChildrenWithTag(t.root(), *li);
   ASSERT_EQ(out.size(), 3u);  // siblings, not nested
   EXPECT_EQ(t.Data(out[2]), "c");
 }
@@ -54,12 +53,10 @@ TEST(HtmlParser, ImplicitTableClosing) {
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
   auto tr = t.LookupTag("tr");
-  std::vector<hdt::NodeId> rows;
-  t.ChildrenWithTag(t.root(), *tr, &rows);
+  auto rows = t.ChildrenWithTag(t.root(), *tr);
   ASSERT_EQ(rows.size(), 2u);
   auto td = t.LookupTag("td");
-  std::vector<hdt::NodeId> cells;
-  t.ChildrenWithTag(rows[1], *td, &cells);
+  auto cells = t.ChildrenWithTag(rows[1], *td);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(t.Data(cells[0]), "3");
 }
@@ -105,7 +102,7 @@ TEST(HtmlParser, FragmentsWrapped) {
   auto r = ParseHtml("<p>a</p><p>b</p>");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->NodeTagName(r->root()), "html");
-  EXPECT_EQ(r->node(r->root()).children.size(), 2u);
+  EXPECT_EQ(test::Kids(*r, r->root()).size(), 2u);
 }
 
 TEST(HtmlParser, EmptyInputIsError) {

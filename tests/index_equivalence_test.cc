@@ -1,23 +1,27 @@
-/// Frozen-index equivalence suite (succinct HDT index): proves that
-/// freezing a tree — preorder intervals, CSR children, per-(parent,tag)
-/// slices, per-tag postings, leaf-data dictionary — changes *nothing*
-/// observable:
+/// Indexed-HDT navigation suite. A tree is indexed when it is built (node
+/// ids are preorder ranks; children by (tag, document order), per-tag
+/// postings and the leaf-data dictionary are flat arrays), so every
+/// indexed query here is checked against a naive scan written in this
+/// file over Parent() / Tag() / Pos() / Data() alone:
 ///
-///  - navigation (ChildrenWithTag / ChildWithTagPos / DescendantsWithTag,
-///    span and vector forms) returns identical node sequences frozen
-///    (compact and non-compact) and unfrozen, over fuzz-generated
-///    XML- and JSON-shaped documents;
-///  - program results are bit-identical: naive EvalProgram and
-///    OptimizedExecutor (sequential and 8-thread pool) emit the exact
-///    same row vectors frozen vs. walk;
-///  - the full 98-task §7.1 corpus synthesizes the same program on a
-///    frozen tree as on an unfrozen one, and executes byte-identically;
-///  - the freeze/thaw contract holds (mutation thaws, copies share the
-///    index, pos assignment survives a thaw);
-///  - governor check sites keep firing inside indexed scans.
+///  - navigation (Children, ChildrenWithTag, ChildWithTagPos,
+///    DescendantsWithTag, subtree ends, vocabularies, dictionary) over
+///    fuzz-generated XML- and JSON-shaped documents;
+///  - the column extractors of generated programs, and their results
+///    through naive EvalProgram (the same rows) and OptimizedExecutor
+///    (sequential and 8-thread pool: the exact same row vectors);
+///  - a subtree copied onto a parent off the builder's rightmost path is
+///    renumbered by Finish() and navigates like a parsed copy of the same
+///    document;
+///  - governor check sites keep firing inside indexed scans;
+///  - on the 98-task §7.1 corpus, the synthesized program executes alike
+///    in the reference evaluator (plain Children() walks), naive,
+///    optimized and pooled.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,9 +31,11 @@
 #include "core/executor.h"
 #include "core/synthesizer.h"
 #include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 #include "testing/generators.h"
 #include "testing/rng.h"
+#include "testing/tree_edit.h"
 #include "workload/corpus.h"
 
 namespace mitra {
@@ -43,49 +49,109 @@ std::vector<NodeId> ToVec(std::span<const NodeId> s) {
   return {s.begin(), s.end()};
 }
 
-/// Exhaustively compares every navigation query on `a` (reference, never
-/// frozen here) against `b` (frozen compact or non-compact, or a thawed
-/// copy): all (node, tag) pairs, all valid pchildren positions, plus the
-/// whole-tree vocabularies.
-void ExpectNavigationIdentical(const Hdt& a, const Hdt& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.tags().size(), b.tags().size());
-  const auto num_tags = static_cast<TagId>(a.tags().size());
-  for (NodeId n = 0; n < static_cast<NodeId>(a.size()); ++n) {
-    EXPECT_EQ(a.Parent(n), b.Parent(n));
-    EXPECT_EQ(a.Data(n), b.Data(n));
-    EXPECT_EQ(a.HasData(n), b.HasData(n));
-    EXPECT_EQ(a.NumChildren(n), b.NumChildren(n));
-    EXPECT_EQ(a.IsLeaf(n), b.IsLeaf(n));
-    EXPECT_EQ(a.Depth(n), b.Depth(n));
-    EXPECT_EQ(ToVec(a.Children(n)), ToVec(b.Children(n)));
-    for (TagId t = 0; t < num_tags; ++t) {
-      std::vector<NodeId> ca, cb, da, db;
-      a.ChildrenWithTag(n, t, &ca);
-      b.ChildrenWithTag(n, t, &cb);
-      EXPECT_EQ(ca, cb) << "node " << n << " tag " << a.TagName(t);
-      a.DescendantsWithTag(n, t, &da);
-      b.DescendantsWithTag(n, t, &db);
-      EXPECT_EQ(da, db) << "node " << n << " tag " << a.TagName(t);
-      if (b.frozen()) {
-        EXPECT_EQ(cb, ToVec(b.ChildrenWithTagSpan(n, t)));
-        EXPECT_EQ(db, ToVec(b.DescendantsWithTagSpan(n, t)));
+// --- naive navigation: Parent() / Tag() / Pos() scans only -----------------
+
+/// Children of `n` in document order: the nodes whose parent is `n`, by
+/// ascending id (ids are preorder ranks).
+std::vector<NodeId> NaiveChildren(const Hdt& t, NodeId n) {
+  std::vector<NodeId> out;
+  for (NodeId m = 0; m < static_cast<NodeId>(t.size()); ++m) {
+    if (t.Parent(m) == n) out.push_back(m);
+  }
+  return out;
+}
+
+std::vector<NodeId> NaiveChildrenWithTag(const Hdt& t, NodeId n, TagId tag) {
+  std::vector<NodeId> out;
+  for (NodeId c : NaiveChildren(t, n)) {
+    if (t.Tag(c) == tag) out.push_back(c);
+  }
+  return out;
+}
+
+/// True when `a` is a proper ancestor of `m`, by walking parents.
+bool NaiveIsAncestor(const Hdt& t, NodeId a, NodeId m) {
+  for (NodeId p = t.Parent(m); p != hdt::kInvalidNode; p = t.Parent(p)) {
+    if (p == a) return true;
+  }
+  return false;
+}
+
+std::vector<NodeId> NaiveDescendantsWithTag(const Hdt& t, NodeId n,
+                                            TagId tag) {
+  std::vector<NodeId> out;
+  for (NodeId m = 0; m < static_cast<NodeId>(t.size()); ++m) {
+    if (t.Tag(m) == tag && NaiveIsAncestor(t, n, m)) out.push_back(m);
+  }
+  return out;
+}
+
+/// Compares every indexed query on `t` with the naive scans: all
+/// (node, tag) pairs, every pchildren position, subtree ends, the
+/// vocabularies and the dictionary.
+void ExpectNavigationMatchesNaive(const Hdt& t) {
+  const auto num_tags = static_cast<TagId>(t.NumTags());
+  const auto size = static_cast<NodeId>(t.size());
+  ASSERT_GT(size, 0);
+  EXPECT_EQ(t.Parent(t.root()), hdt::kInvalidNode);
+  std::set<std::pair<TagId, int32_t>> seen_pairs;
+  std::vector<std::pair<TagId, int32_t>> pairs;
+  std::vector<std::string> values;
+  for (NodeId n = 0; n < size; ++n) {
+    const std::vector<NodeId> kids = NaiveChildren(t, n);
+    EXPECT_EQ(test::Kids(t, n), kids) << "node " << n;
+    EXPECT_EQ(t.NumChildren(n), kids.size()) << "node " << n;
+    EXPECT_EQ(t.IsLeaf(n), kids.empty()) << "node " << n;
+    if (n > 0) {
+      ASSERT_LT(t.Parent(n), n) << "preorder: parents come first";
+      int32_t same_tag_before = 0;
+      for (NodeId sib : NaiveChildren(t, t.Parent(n))) {
+        if (sib == n) break;
+        if (t.Tag(sib) == t.Tag(n)) ++same_tag_before;
       }
-      for (int32_t pos = 0; pos <= static_cast<int32_t>(ca.size()); ++pos) {
-        EXPECT_EQ(a.ChildWithTagPos(n, t, pos), b.ChildWithTagPos(n, t, pos));
+      EXPECT_EQ(t.Pos(n), same_tag_before) << "node " << n;
+      if (seen_pairs.insert({t.Tag(n), t.Pos(n)}).second) {
+        pairs.emplace_back(t.Tag(n), t.Pos(n));
+      }
+    }
+    if (t.HasData(n)) {
+      EXPECT_TRUE(t.IsLeaf(n)) << "only leaves carry data";
+      if (std::find(values.begin(), values.end(), t.Data(n)) == values.end()) {
+        values.emplace_back(t.Data(n));
+      }
+    }
+    NodeId end = n + 1;
+    while (end < size && NaiveIsAncestor(t, n, end)) ++end;
+    EXPECT_EQ(t.SubtreeEnd(n), end) << "node " << n;
+    int depth = 0;
+    for (NodeId p = t.Parent(n); p != hdt::kInvalidNode; p = t.Parent(p)) {
+      ++depth;
+    }
+    EXPECT_EQ(t.Depth(n), depth);
+
+    for (TagId tag = 0; tag < num_tags; ++tag) {
+      const std::vector<NodeId> want = NaiveChildrenWithTag(t, n, tag);
+      EXPECT_EQ(ToVec(t.ChildrenWithTag(n, tag)), want)
+          << "node " << n << " tag " << t.TagName(tag);
+      EXPECT_EQ(ToVec(t.DescendantsWithTag(n, tag)),
+                NaiveDescendantsWithTag(t, n, tag))
+          << "node " << n << " tag " << t.TagName(tag);
+      for (int32_t pos = -1; pos <= static_cast<int32_t>(want.size());
+           ++pos) {
+        const NodeId expect =
+            pos >= 0 && pos < static_cast<int32_t>(want.size())
+                ? want[static_cast<size_t>(pos)]
+                : hdt::kInvalidNode;
+        EXPECT_EQ(t.ChildWithTagPos(n, tag, pos), expect)
+            << "node " << n << " tag " << t.TagName(tag) << " pos " << pos;
       }
     }
   }
-  EXPECT_EQ(a.AllTags(), b.AllTags());
-  EXPECT_EQ(a.AllTagPosPairs(), b.AllTagPosPairs());
-  EXPECT_EQ(a.AllDataValues(), b.AllDataValues());
-}
+  EXPECT_EQ(t.AllTagPosPairs(), pairs);
+  EXPECT_EQ(t.AllDataValues(), values);
 
-/// The frozen data dictionary must mirror AllDataValues() (same values,
-/// first-seen order) and round-trip through GetDataId / LookupDataId.
-void ExpectDictConsistent(const Hdt& t) {
-  ASSERT_TRUE(t.frozen());
-  const std::vector<std::string> values = t.AllDataValues();
+  // The dictionary mirrors AllDataValues() and round-trips through
+  // GetDataId / LookupDataId.
   ASSERT_EQ(t.DictSize(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(t.DictValue(static_cast<hdt::DataId>(i)), values[i]);
@@ -94,7 +160,7 @@ void ExpectDictConsistent(const Hdt& t) {
     EXPECT_EQ(*id, static_cast<hdt::DataId>(i));
   }
   EXPECT_FALSE(t.LookupDataId("\x01 definitely-not-a-leaf-value \x01"));
-  for (NodeId n = 0; n < static_cast<NodeId>(t.size()); ++n) {
+  for (NodeId n = 0; n < size; ++n) {
     if (t.HasData(n)) {
       ASSERT_NE(t.GetDataId(n), hdt::kInvalidData) << n;
       EXPECT_EQ(t.DictValue(t.GetDataId(n)), t.Data(n)) << n;
@@ -102,6 +168,47 @@ void ExpectDictConsistent(const Hdt& t) {
       EXPECT_EQ(t.GetDataId(n), hdt::kInvalidData) << n;
     }
   }
+}
+
+/// Rows as a sorted multiset: the optimized executor may emit the naive
+/// evaluator's rows in another order.
+std::vector<hdt::Row> SortedRows(const hdt::Table& t) {
+  std::vector<hdt::Row> rows = t.rows();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Column extractor semantics (Fig. 7) over the naive scans.
+std::vector<NodeId> NaiveEvalColumn(const Hdt& t,
+                                    const dsl::ColumnExtractor& pi) {
+  std::vector<NodeId> cur{t.root()};
+  for (const dsl::ColStep& st : pi.steps) {
+    auto tag = t.LookupTag(st.tag);
+    if (!tag) return {};
+    std::set<NodeId> next;
+    for (NodeId n : cur) {
+      std::vector<NodeId> found;
+      switch (st.op) {
+        case dsl::ColOp::kChildren:
+          found = NaiveChildrenWithTag(t, n, *tag);
+          break;
+        case dsl::ColOp::kPChildren: {
+          std::vector<NodeId> same = NaiveChildrenWithTag(t, n, *tag);
+          if (st.pos >= 0 && st.pos < static_cast<int32_t>(same.size())) {
+            found.push_back(same[static_cast<size_t>(st.pos)]);
+          }
+          break;
+        }
+        case dsl::ColOp::kDescendants:
+          found = NaiveDescendantsWithTag(t, n, *tag);
+          break;
+      }
+      next.insert(found.begin(), found.end());
+    }
+    cur.assign(next.begin(), next.end());
+    if (cur.empty()) break;
+  }
+  return cur;
 }
 
 TEST(IndexEquivalence, FuzzNavigation) {
@@ -113,26 +220,7 @@ TEST(IndexEquivalence, FuzzNavigation) {
       testing::DocGenOptions opts;
       opts.xml_shape = xml_shape;
       opts.max_nodes = 10 + static_cast<int>(seed) * 5;
-      Hdt reference = testing::GenerateDocument(&rng, opts);
-
-      Hdt compact = reference;
-      compact.FreezeIndex(/*compact=*/true);
-      ASSERT_TRUE(compact.frozen());
-      ASSERT_TRUE(compact.compacted());
-      ExpectNavigationIdentical(reference, compact);
-      ExpectDictConsistent(compact);
-
-      Hdt loose = reference;
-      loose.FreezeIndex(/*compact=*/false);
-      ASSERT_TRUE(loose.frozen());
-      ASSERT_FALSE(loose.compacted());
-      ExpectNavigationIdentical(reference, loose);
-      ExpectDictConsistent(loose);
-
-      // Upgrade in place: non-compact → compact must be seamless.
-      loose.FreezeIndex(/*compact=*/true);
-      ASSERT_TRUE(loose.compacted());
-      ExpectNavigationIdentical(reference, loose);
+      ExpectNavigationMatchesNaive(testing::GenerateDocument(&rng, opts));
     }
   }
 }
@@ -145,102 +233,87 @@ TEST(IndexEquivalence, FuzzProgramResults) {
     testing::DocGenOptions dopts;
     dopts.xml_shape = (seed % 2 == 0);
     dopts.max_nodes = 40;
-    Hdt walk = testing::GenerateDocument(&rng, dopts);
-    Hdt frozen = walk;
-    frozen.FreezeIndex();
+    Hdt tree = testing::GenerateDocument(&rng, dopts);
 
     for (int p = 0; p < 4; ++p) {
-      dsl::Program prog = testing::GenerateProgram(&rng, walk);
+      dsl::Program prog = testing::GenerateProgram(&rng, tree);
       SCOPED_TRACE(dsl::ToString(prog));
+      for (const dsl::ColumnExtractor& pi : prog.columns) {
+        EXPECT_EQ(dsl::EvalColumn(tree, pi), NaiveEvalColumn(tree, pi))
+            << dsl::ToString(pi);
+      }
 
-      auto naive_walk = dsl::EvalProgram(walk, prog);
-      auto naive_frozen = dsl::EvalProgram(frozen, prog);
-      ASSERT_TRUE(naive_walk.ok()) << naive_walk.status().ToString();
-      ASSERT_TRUE(naive_frozen.ok()) << naive_frozen.status().ToString();
-      // Bit-identical, including row order — not just set-equal.
-      EXPECT_EQ(naive_walk->rows(), naive_frozen->rows());
-
+      auto naive = dsl::EvalProgram(tree, prog);
+      ASSERT_TRUE(naive.ok()) << naive.status().ToString();
       core::OptimizedExecutor exec(prog);
-      auto opt_walk = exec.Execute(walk);
-      auto opt_frozen = exec.Execute(frozen);
-      ASSERT_TRUE(opt_walk.ok()) << opt_walk.status().ToString();
-      ASSERT_TRUE(opt_frozen.ok()) << opt_frozen.status().ToString();
-      EXPECT_EQ(opt_walk->rows(), opt_frozen->rows());
+      auto opt = exec.Execute(tree);
+      ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+      EXPECT_EQ(SortedRows(*naive), SortedRows(*opt));
 
+      // The pool must not change the optimized rows, nor their order.
       core::ExecuteOptions popts;
       popts.pool = &pool;
-      auto opt_frozen_mt = exec.Execute(frozen, popts);
-      ASSERT_TRUE(opt_frozen_mt.ok()) << opt_frozen_mt.status().ToString();
-      EXPECT_EQ(opt_walk->rows(), opt_frozen_mt->rows());
+      auto opt_mt = exec.Execute(tree, popts);
+      ASSERT_TRUE(opt_mt.ok()) << opt_mt.status().ToString();
+      EXPECT_EQ(opt->rows(), opt_mt->rows());
     }
   }
 }
 
-TEST(IndexEquivalence, MutationThaws) {
-  testing::Rng rng(7);
-  Hdt tree = testing::GenerateDocument(&rng);
-  Hdt reference = tree;  // never frozen
+TEST(IndexEquivalence, BuilderRenumbersCopyOffTheRightmostPath) {
+  const Hdt src = test::ParseXmlOrDie(
+      R"(<r><a k="1"><x>1</x></a><b><y>2</y><x>3</x></b><c>4</c></r>)");
+  // Copy `src`, then append a copy of <b> under <a>: <a> is no longer on
+  // the builder's rightmost path, so Finish() has to renumber.
+  hdt::HdtBuilder builder;
+  testing::CopyInto(src, &builder);
+  const NodeId a = test::Kids(src, src.root())[0];
+  const NodeId b = test::Kids(src, src.root())[1];
+  testing::AppendSubtreeCopy(src, b, &builder, a);
+  const Hdt built = builder.Finish();
 
-  tree.FreezeIndex(/*compact=*/true);
-  ASSERT_TRUE(tree.compacted());
-
-  // AddChild must thaw, restore the per-node child vectors from the CSR
-  // layout, and keep pos assignment consistent with a never-frozen build.
-  NodeId a = tree.AddChild(tree.root(), "thaw_probe", "v1");
-  NodeId b = reference.AddChild(reference.root(), "thaw_probe", "v1");
-  EXPECT_FALSE(tree.frozen());
-  EXPECT_FALSE(tree.compacted());
-  EXPECT_EQ(a, b);
-  NodeId a2 = tree.AddChild(tree.root(), "thaw_probe", "v2");
-  NodeId b2 = reference.AddChild(reference.root(), "thaw_probe", "v2");
-  EXPECT_EQ(tree.node(a2).pos, reference.node(b2).pos);
-  ExpectNavigationIdentical(reference, tree);
-
-  // Refreezing after the mutation picks up the new nodes.
-  tree.FreezeIndex();
-  ExpectNavigationIdentical(reference, tree);
-  ExpectDictConsistent(tree);
-
-  // SetLeafData thaws too (the dictionary would otherwise go stale).
-  NodeId leaf = tree.AddChild(tree.root(), "fresh_leaf");
-  tree.FreezeIndex();
-  ASSERT_TRUE(tree.frozen());
-  tree.SetLeafData(leaf, "late-data");
-  EXPECT_FALSE(tree.frozen());
-  tree.FreezeIndex();
-  ASSERT_TRUE(tree.LookupDataId("late-data").has_value());
-}
-
-TEST(IndexEquivalence, CopiesShareIndex) {
-  testing::Rng rng(11);
-  Hdt original = testing::GenerateDocument(&rng);
-  original.FreezeIndex(/*compact=*/true);
-
-  Hdt copy = original;
-  EXPECT_TRUE(copy.frozen());
-  EXPECT_EQ(copy.index(), original.index());  // shared, not rebuilt
-
-  // Mutating the copy thaws only the copy; the original keeps its index.
-  copy.AddChild(copy.root(), "copy_only");
-  EXPECT_FALSE(copy.frozen());
-  EXPECT_TRUE(original.frozen());
-  EXPECT_TRUE(original.compacted());
-  EXPECT_EQ(copy.size(), original.size() + 1);
+  const Hdt parsed = test::ParseXmlOrDie(
+      R"(<r><a k="1"><x>1</x><b><y>2</y><x>3</x></b></a>)"
+      R"(<b><y>2</y><x>3</x></b><c>4</c></r>)");
+  ASSERT_EQ(built.ToDebugString(), parsed.ToDebugString());
+  ExpectNavigationMatchesNaive(built);
+  // Same ids, tags, provenance and dictionary as the parsed document, so
+  // every query answers alike.
+  ASSERT_EQ(built.size(), parsed.size());
+  for (NodeId n = 0; n < static_cast<NodeId>(built.size()); ++n) {
+    EXPECT_EQ(built.Parent(n), parsed.Parent(n));
+    EXPECT_EQ(built.NodeTagName(n), parsed.NodeTagName(n));
+    EXPECT_EQ(built.Pos(n), parsed.Pos(n));
+    EXPECT_EQ(built.GetDataId(n), parsed.GetDataId(n));
+    EXPECT_EQ(built.IsAttribute(n), parsed.IsAttribute(n));
+    EXPECT_EQ(built.SubtreeEnd(n), parsed.SubtreeEnd(n));
+  }
+  EXPECT_EQ(built.AllDataValues(), parsed.AllDataValues());
+  for (const std::string tag : {"x", "y", "b"}) {
+    const TagId tb = *built.LookupTag(tag);
+    const TagId tp = *parsed.LookupTag(tag);
+    for (NodeId n = 0; n < static_cast<NodeId>(built.size()); ++n) {
+      EXPECT_EQ(ToVec(built.DescendantsWithTag(n, tb)),
+                ToVec(parsed.DescendantsWithTag(n, tp)));
+      EXPECT_EQ(ToVec(built.ChildrenWithTag(n, tb)),
+                ToVec(parsed.ChildrenWithTag(n, tp)));
+    }
+  }
 }
 
 TEST(IndexEquivalence, GovernorFiresInIndexedScan) {
-  // Descendant-heavy program over a frozen tree: the indexed scan must
-  // still hit the governor's check/charge sites, so a tiny row budget
-  // cancels the run instead of materialising everything.
-  Hdt tree;
-  NodeId root = tree.AddRoot("db");
+  // Descendant-heavy program: the indexed scan must still hit the
+  // governor's check/charge sites, so a tiny row budget cancels the run
+  // instead of materialising everything.
+  hdt::HdtBuilder builder;
+  NodeId root = builder.AddRoot("db");
   for (int i = 0; i < 200; ++i) {
-    NodeId rec = tree.AddChild(root, "rec");
+    NodeId rec = builder.AddChild(root, "rec");
     for (int j = 0; j < 30; ++j) {
-      tree.AddChild(rec, "f", "v" + std::to_string(j));
+      builder.AddChild(rec, "f", "v" + std::to_string(j));
     }
   }
-  tree.FreezeIndex();
+  const Hdt tree = builder.Finish();
 
   dsl::Program prog;
   prog.columns.push_back({{{dsl::ColOp::kDescendants, "f", 0}}});
@@ -258,7 +331,7 @@ TEST(IndexEquivalence, GovernorFiresInIndexedScan) {
   EXPECT_GT(gov.Usage().checks, 0u);
 }
 
-// --- corpus-wide bit-identity ---------------------------------------------
+// --- corpus-wide execution identity ----------------------------------------
 
 core::SynthesisOptions CorpusOptions() {
   core::SynthesisOptions opts;
@@ -275,54 +348,45 @@ Hdt ParseTaskDoc(const workload::CorpusTask& task, const std::string& doc) {
 
 class CorpusIndexIdentityTest : public ::testing::TestWithParam<size_t> {};
 
-/// For every §7.1 benchmark task: synthesis on a frozen tree must find
-/// the *same program* as on an unfrozen one, and executing that program
-/// must emit byte-identical rows frozen vs. walk, naive vs. optimized,
-/// sequential vs. 8-thread pool.
+/// For every §7.1 benchmark task, the synthesized program (pinned byte for
+/// byte by the programs golden) must emit the same rows through the
+/// indexed evaluators as through the reference evaluator's tag-name walks
+/// over Children(), byte-identical rows sequential and on an 8-thread
+/// pool, and generalize where the task says so. (The name predates the
+/// single, always-indexed tree; `walk` is the reference evaluator.)
 TEST_P(CorpusIndexIdentityTest, FrozenMatchesWalk) {
   const workload::CorpusTask task = workload::FullCorpus()[GetParam()];
   SCOPED_TRACE(task.id);
-  Hdt walk = ParseTaskDoc(task, task.document);
-  Hdt frozen = ParseTaskDoc(task, task.document);
-  frozen.FreezeIndex();
-
+  Hdt tree = ParseTaskDoc(task, task.document);
   hdt::Table table = test::MakeTable(task.output);
-  auto r_walk = core::LearnTransformation(walk, table, CorpusOptions());
-  auto r_frozen = core::LearnTransformation(frozen, table, CorpusOptions());
-  ASSERT_EQ(r_walk.ok(), r_frozen.ok())
-      << "walk: " << r_walk.status().ToString()
-      << "\nfrozen: " << r_frozen.status().ToString();
+  auto r = core::LearnTransformation(tree, table, CorpusOptions());
   if (!task.expect_solvable) {
-    EXPECT_FALSE(r_frozen.ok());
+    EXPECT_FALSE(r.ok());
     return;
   }
-  ASSERT_TRUE(r_frozen.ok()) << r_frozen.status().ToString();
-  EXPECT_EQ(dsl::ToString(r_walk->program), dsl::ToString(r_frozen->program));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  const dsl::Program& prog = r_walk->program;
-  auto naive_walk = dsl::EvalProgram(walk, prog);
-  auto naive_frozen = dsl::EvalProgram(frozen, prog);
-  ASSERT_TRUE(naive_walk.ok()) << naive_walk.status().ToString();
-  ASSERT_TRUE(naive_frozen.ok()) << naive_frozen.status().ToString();
-  EXPECT_EQ(naive_walk->rows(), naive_frozen->rows());
+  const dsl::Program& prog = r->program;
+  auto walk = dsl::ReferenceEvalProgram(tree, prog);
+  ASSERT_TRUE(walk.ok()) << walk.status().ToString();
+  auto naive = dsl::EvalProgram(tree, prog);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(SortedRows(*walk), SortedRows(*naive));
 
   core::OptimizedExecutor exec(prog);
-  auto opt_walk = exec.Execute(walk);
-  auto opt_frozen = exec.Execute(frozen);
-  ASSERT_TRUE(opt_walk.ok()) << opt_walk.status().ToString();
-  ASSERT_TRUE(opt_frozen.ok()) << opt_frozen.status().ToString();
-  EXPECT_EQ(opt_walk->rows(), opt_frozen->rows());
+  auto opt = exec.Execute(tree);
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+  EXPECT_EQ(SortedRows(*naive), SortedRows(*opt));
 
   common::ThreadPool pool(8);
   core::ExecuteOptions popts;
   popts.pool = &pool;
-  auto opt_frozen_mt = exec.Execute(frozen, popts);
-  ASSERT_TRUE(opt_frozen_mt.ok()) << opt_frozen_mt.status().ToString();
-  EXPECT_EQ(opt_walk->rows(), opt_frozen_mt->rows());
+  auto opt_mt = exec.Execute(tree, popts);
+  ASSERT_TRUE(opt_mt.ok()) << opt_mt.status().ToString();
+  EXPECT_EQ(opt->rows(), opt_mt->rows());
 
   if (!task.generalization_document.empty()) {
     Hdt other = ParseTaskDoc(task, task.generalization_document);
-    other.FreezeIndex();
     hdt::Table want = test::MakeTable(task.generalization_output);
     test::ExpectProgramYields(other, prog, want);
   }

@@ -51,9 +51,9 @@ std::vector<hdt::Row> ParseRowsJson(const std::string& text) {
   if (!tree.ok()) return rows;
   // Encoding: top-level array → `item` nodes; inner arrays reuse `item`.
   const hdt::Hdt& t = *tree;
-  for (hdt::NodeId row_node : t.node(t.root()).children) {
+  for (hdt::NodeId row_node : test::Kids(t, t.root())) {
     hdt::Row row;
-    for (hdt::NodeId cell : t.node(row_node).children) {
+    for (hdt::NodeId cell : test::Kids(t, row_node)) {
       row.emplace_back(t.Data(cell));
     }
     rows.push_back(std::move(row));

@@ -2,6 +2,7 @@
 
 #include "json/json_parser.h"
 #include "json/json_writer.h"
+#include "test_util.h"
 
 namespace mitra::json {
 namespace {
@@ -11,7 +12,7 @@ TEST(JsonParser, FlatObject) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const hdt::Hdt& t = *r;
   EXPECT_EQ(t.NodeTagName(t.root()), "root");
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(t.NodeTagName(kids[0]), "id");
   EXPECT_EQ(t.Data(kids[0]), "1");
@@ -24,11 +25,11 @@ TEST(JsonParser, ArrayBecomesPositionedSiblings) {
   auto r = ParseJson(R"({"k": [18, 45, 32]})");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   ASSERT_EQ(kids.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(t.NodeTagName(kids[static_cast<size_t>(i)]), "k");
-    EXPECT_EQ(t.node(kids[static_cast<size_t>(i)]).pos, i);
+    EXPECT_EQ(t.Pos(kids[static_cast<size_t>(i)]), i);
   }
   EXPECT_EQ(t.Data(kids[1]), "45");
 }
@@ -37,9 +38,9 @@ TEST(JsonParser, NestedObjects) {
   auto r = ParseJson(R"({"a": {"b": {"c": "deep"}}})");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  auto a = t.node(t.root()).children[0];
-  auto b = t.node(a).children[0];
-  auto c = t.node(b).children[0];
+  auto a = test::Kids(t, t.root())[0];
+  auto b = test::Kids(t, a)[0];
+  auto c = test::Kids(t, b)[0];
   EXPECT_EQ(t.NodeTagName(c), "c");
   EXPECT_EQ(t.Data(c), "deep");
   EXPECT_FALSE(t.HasData(a));  // internal nodes carry nil data
@@ -50,7 +51,7 @@ TEST(JsonParser, LiteralsAndNumbers) {
       R"({"t": true, "f": false, "n": null, "x": -1.5e3, "z": 0})");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   EXPECT_EQ(t.Data(kids[0]), "true");
   EXPECT_EQ(t.Data(kids[1]), "false");
   EXPECT_EQ(t.Data(kids[2]), "null");
@@ -61,34 +62,34 @@ TEST(JsonParser, LiteralsAndNumbers) {
 TEST(JsonParser, StringEscapes) {
   auto r = ParseJson(R"({"s": "a\"b\\c\nd\tAé"})");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->Data(r->node(r->root()).children[0]),
+  EXPECT_EQ(r->Data(test::Kids(*r, r->root())[0]),
             "a\"b\\c\nd\tA\xc3\xa9");
 }
 
 TEST(JsonParser, SurrogatePair) {
   auto r = ParseJson(R"({"s": "😀"})");  // 😀 U+1F600
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->Data(r->node(r->root()).children[0]), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(r->Data(test::Kids(*r, r->root())[0]), "\xf0\x9f\x98\x80");
 }
 
 TEST(JsonParser, TopLevelArrayUsesItemTag) {
   auto r = ParseJson(R"([{"a": 1}, {"a": 2}])");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(t.NodeTagName(kids[0]), "item");
-  EXPECT_EQ(t.node(kids[1]).pos, 1);
+  EXPECT_EQ(t.Pos(kids[1]), 1);
 }
 
 TEST(JsonParser, NestedArrayReusesKey) {
   auto r = ParseJson(R"({"m": [[1, 2], [3]]})");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& rows = t.node(t.root()).children;
+  const auto& rows = test::Kids(t, t.root());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(t.NodeTagName(rows[0]), "m");
-  const auto& inner = t.node(rows[0]).children;
+  const auto& inner = test::Kids(t, rows[0]);
   ASSERT_EQ(inner.size(), 2u);
   EXPECT_EQ(t.NodeTagName(inner[0]), "m");
   EXPECT_EQ(t.Data(inner[1]), "2");
@@ -98,7 +99,7 @@ TEST(JsonParser, EmptyContainers) {
   auto r = ParseJson(R"({"a": {}, "b": []})");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   // {} yields an internal childless node; [] yields no nodes at all.
   ASSERT_EQ(kids.size(), 1u);
   EXPECT_EQ(t.NodeTagName(kids[0]), "a");
@@ -109,7 +110,7 @@ TEST(JsonParser, EmptyContainers) {
 TEST(JsonParser, TopLevelPrimitive) {
   auto r = ParseJson("42");
   ASSERT_TRUE(r.ok());
-  const auto& kids = r->node(r->root()).children;
+  const auto& kids = test::Kids(*r, r->root());
   ASSERT_EQ(kids.size(), 1u);
   EXPECT_EQ(r->NodeTagName(kids[0]), "value");
   EXPECT_EQ(r->Data(kids[0]), "42");

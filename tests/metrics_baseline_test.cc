@@ -103,9 +103,9 @@ std::map<std::string, TaskMetrics> LoadBaselines(const std::string& text) {
   if (!r.ok()) return out;
   const hdt::Hdt& t = *r;
   for (hdt::NodeId task_node : t.Children(t.root())) {
-    TaskMetrics& tm = out[t.NodeTagName(task_node)];
+    TaskMetrics& tm = out[std::string(t.NodeTagName(task_node))];
     for (hdt::NodeId metric_node : t.Children(task_node)) {
-      tm[t.NodeTagName(metric_node)] = static_cast<std::uint64_t>(
+      tm[std::string(t.NodeTagName(metric_node))] = static_cast<std::uint64_t>(
           std::strtoull(std::string(t.Data(metric_node)).c_str(), nullptr,
                         10));
     }

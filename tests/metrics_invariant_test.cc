@@ -7,8 +7,9 @@
 ///    enumerated table extractor exactly once);
 ///  - the cross-candidate extractor memo sees hits on tasks with repeated
 ///    extractors (hit rate > 0 in aggregate);
-///  - frozen-only fast-path counters stay zero when the tree is unfrozen,
-///    and fire once an index is frozen;
+///  - the dictionary-id fast path fires;
+///  - hdt/build/{trees,nodes,dict_entries} count every finished tree
+///    exactly once, with its node and dictionary sizes;
 ///  - the deterministic counter subset is identical at threads=1 and
 ///    threads=8 (the parallel merge loop replays the sequential order);
 ///  - an instrumented run populates >= 12 distinct counters across >= 5
@@ -124,33 +125,13 @@ TEST(MetricsInvariant, ExtractorMemoHitsOnRepeatedExtractors) {
   EXPECT_GT(misses, 0u);
 }
 
-TEST(MetricsInvariant, FrozenFastPathCountersZeroWhenUnfrozen) {
-  for (const workload::CorpusTask& task : SolvableTasks(10)) {
-    hdt::Hdt tree = ParseTaskDoc(task);
-    ASSERT_FALSE(tree.frozen());
-    hdt::Table table = test::MakeTable(task.output);
-    auto result = core::LearnTransformation(tree, table, Options(1));
-    ASSERT_TRUE(result.ok()) << task.id;
-    // The dictionary-id fast path exists only on frozen indexes; on an
-    // unfrozen tree its counter must not move (SnapshotDelta drops
-    // zero-delta keys, so presence == a bug).
-    EXPECT_EQ(At(result->stats.metrics, "predicate/universe/dict_fastpath"),
-              0u)
-        << task.id;
-    EXPECT_EQ(At(result->stats.metrics, "exec/join/frozen_keys"), 0u)
-        << task.id;
-  }
-}
-
-TEST(MetricsInvariant, FrozenFastPathCountersFireOnceFrozen) {
+TEST(MetricsInvariant, DictionaryFastPathCountersFire) {
   // At least one early corpus task synthesizes a predicate with a data
-  // constant that lives in the frozen dictionary. Scan until one fires.
+  // constant that lives in the tree's dictionary. Scan until one fires.
   obs::MetricsSnapshot before = obs::SnapshotMetrics();
   std::uint64_t fastpath = 0;
   for (const workload::CorpusTask& task : SolvableTasks(30)) {
     hdt::Hdt tree = ParseTaskDoc(task);
-    tree.FreezeIndex(/*compact=*/false);
-    ASSERT_TRUE(tree.frozen());
     hdt::Table table = test::MakeTable(task.output);
     auto result = core::LearnTransformation(tree, table, Options(1));
     if (!result.ok()) continue;
@@ -158,11 +139,25 @@ TEST(MetricsInvariant, FrozenFastPathCountersFireOnceFrozen) {
         At(result->stats.metrics, "predicate/universe/dict_fastpath");
     if (fastpath > 0) break;
   }
-  EXPECT_GT(fastpath, 0u)
-      << "no frozen run hit the dictionary-id fast path";
-  // Sanity: freezing itself was observed.
+  EXPECT_GT(fastpath, 0u) << "no run hit the dictionary-id fast path";
+}
+
+TEST(MetricsInvariant, BuildCountersCountEachTreeOnce) {
+  obs::MetricsSnapshot before = obs::SnapshotMetrics();
+  std::uint64_t trees = 0, nodes = 0, dict_entries = 0;
+  for (const workload::CorpusTask& task : workload::FullCorpus()) {
+    const hdt::Hdt tree = ParseTaskDoc(task);
+    const hdt::Hdt copy = tree;  // copies share the tree; nothing is built
+    ++trees;
+    nodes += copy.size();
+    dict_entries += copy.DictSize();
+  }
   obs::MetricsSnapshot delta = obs::SnapshotDelta(before);
-  EXPECT_GT(At(delta, "hdt/freeze/calls"), 0u);
+  EXPECT_EQ(At(delta, "hdt/build/trees"), trees);
+  EXPECT_EQ(At(delta, "hdt/build/nodes"), nodes);
+  EXPECT_EQ(At(delta, "hdt/build/dict_entries"), dict_entries);
+  EXPECT_EQ(At(delta, "parse/xml/nodes") + At(delta, "parse/json/nodes"),
+            nodes);
 }
 
 TEST(MetricsInvariant, DeterministicCountersIdenticalAcrossThreadCounts) {

@@ -134,7 +134,7 @@ TEST_F(ObsTest, MetricsJsonParsesBackWithRepoParser) {
   bool found_plain = false, found_escaped = false;
   for (hdt::NodeId id = 0; id < static_cast<hdt::NodeId>(tree.NumElements());
        ++id) {
-    const std::string& tag = tree.NodeTagName(id);
+    const std::string_view tag = tree.NodeTagName(id);
     if (tag == "test/json/plain") {
       found_plain = true;
       EXPECT_EQ(tree.Data(id), "3");
@@ -229,7 +229,7 @@ TEST_F(ObsTest, ChromeTraceJsonIsValidAndCarriesEvents) {
   bool saw_a = false, saw_b = false, saw_unit = false, saw_dropped = false;
   for (hdt::NodeId id = 0; id < static_cast<hdt::NodeId>(tree.NumElements());
        ++id) {
-    const std::string& tag = tree.NodeTagName(id);
+    const std::string_view tag = tree.NodeTagName(id);
     std::string_view text = tree.HasData(id) ? tree.Data(id) : "";
     if (tag == "name") {
       ++num_events;

@@ -100,8 +100,8 @@ std::map<std::string, std::string> SequentialReference(const Fleet& fleet) {
     EXPECT_TRUE(doc.ok()) << doc.status().ToString();
     docs.push_back(std::move(*doc));
   }
-  std::vector<hdt::Hdt*> ptrs;
-  for (hdt::Hdt& doc : docs) ptrs.push_back(&doc);
+  std::vector<const hdt::Hdt*> ptrs;
+  for (const hdt::Hdt& doc : docs) ptrs.push_back(&doc);
   db::Database out = migrator.ExecuteTolerant(ptrs, &*report);
   std::map<std::string, std::string> result;
   for (const auto& [name, table] : out.tables) {

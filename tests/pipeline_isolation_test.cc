@@ -123,6 +123,11 @@ TEST(PipelineIsolation, HealthyFleetByteIdenticalAcrossModesAndWorkerCounts) {
   ASSERT_TRUE(base->complete());
   const std::string expected = ReadFileOrDie(none.outdir + "/people.csv");
   ASSERT_FALSE(expected.empty());
+  // In-process documents share one process: no per-document peak RSS.
+  for (const pipeline::DocReport& dr : base->docs) {
+    EXPECT_EQ(dr.peak_rss_kb, 0u);
+  }
+  EXPECT_EQ(base->ToJson().find("\"peak_rss_kb\""), std::string::npos);
 
   for (int workers : {1, 8}) {
     const std::string outdir = root + "/out-w" + std::to_string(workers);

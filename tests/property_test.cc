@@ -35,7 +35,7 @@ hdt::Hdt RandomTree(std::mt19937* rng, int max_nodes) {
   auto pick = [&](int n) {
     return static_cast<int>((*rng)() % static_cast<unsigned>(n));
   };
-  hdt::Hdt t;
+  hdt::HdtBuilder t;
   hdt::NodeId root = t.AddRoot("r");
   std::vector<hdt::NodeId> internal{root};
   int n = 3 + pick(max_nodes);
@@ -49,7 +49,7 @@ hdt::Hdt RandomTree(std::mt19937* rng, int max_nodes) {
       t.AddChild(parent, tag, std::to_string(pick(6)));
     }
   }
-  return t;
+  return t.Finish();
 }
 
 class PropertyTest : public ::testing::TestWithParam<int> {};
@@ -64,8 +64,7 @@ TEST_P(PropertyTest, ColumnLearnerOverapproximates) {
   // Pick a tag with data leaves.
   std::vector<std::string> target;
   for (hdt::TagId tag : t.AllTags()) {
-    std::vector<hdt::NodeId> nodes;
-    t.DescendantsWithTag(t.root(), tag, &nodes);
+    auto nodes = t.DescendantsWithTag(t.root(), tag);
     target.clear();
     for (auto n : nodes) {
       if (t.HasData(n)) target.emplace_back(t.Data(n));

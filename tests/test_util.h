@@ -27,6 +27,12 @@ inline hdt::Hdt ParseJsonOrDie(std::string_view json) {
   return std::move(r).value();
 }
 
+/// Children of `n` in document order, as a vector.
+inline std::vector<hdt::NodeId> Kids(const hdt::Hdt& t, hdt::NodeId n) {
+  const hdt::ChildRange kids = t.Children(n);
+  return std::vector<hdt::NodeId>(kids.begin(), kids.end());
+}
+
 inline hdt::Table MakeTable(std::vector<hdt::Row> rows) {
   auto r = hdt::Table::FromRows(std::move(rows));
   EXPECT_TRUE(r.ok()) << r.status().ToString();

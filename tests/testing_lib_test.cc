@@ -10,6 +10,7 @@
 #include "testing/oracles.h"
 #include "testing/shrink.h"
 #include "testing/tree_edit.h"
+#include "test_util.h"
 
 namespace mitra::testing {
 namespace {
@@ -83,7 +84,7 @@ TEST(Generators, EnlargedDocumentContainsTheOriginal) {
   hdt::Hdt big = EnlargeDocument(&rng, doc, 2);
   EXPECT_GT(big.size(), doc.size());
   // The original root's children are a prefix of the enlarged root's.
-  EXPECT_GE(big.node(0).children.size(), doc.node(0).children.size());
+  EXPECT_GE(test::Kids(big, 0).size(), test::Kids(doc, 0).size());
 }
 
 TEST(MutateBytes, DeterministicPerSeed) {
@@ -156,7 +157,7 @@ TEST(TreeEdit, CopyWithoutSubtreeRemovesExactlyThatSubtree) {
     hdt::NodeId n = stack.back();
     stack.pop_back();
     ++victim_size;
-    for (hdt::NodeId c : doc.node(n).children) stack.push_back(c);
+    for (hdt::NodeId c : test::Kids(doc, n)) stack.push_back(c);
   }
   hdt::Hdt smaller = CopyWithoutSubtree(doc, victim);
   EXPECT_EQ(smaller.size(), doc.size() - victim_size);

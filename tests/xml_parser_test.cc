@@ -2,6 +2,7 @@
 
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
+#include "test_util.h"
 
 namespace mitra::xml {
 namespace {
@@ -20,7 +21,7 @@ TEST(XmlParser, AttributesBecomeLeafChildren) {
   auto r = ParseXml(R"(<Friend fid="2" years="3"/>)");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(t.NodeTagName(kids[0]), "fid");
   EXPECT_EQ(t.Data(kids[0]), "2");
@@ -33,7 +34,7 @@ TEST(XmlParser, MixedContentTextChildren) {
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
   // Children: id attr, text "A", nested object.
-  const auto& kids = t.node(t.root()).children;
+  const auto& kids = test::Kids(t, t.root());
   ASSERT_EQ(kids.size(), 3u);
   EXPECT_EQ(t.NodeTagName(kids[0]), "id");
   EXPECT_EQ(t.NodeTagName(kids[1]), "text");
@@ -45,10 +46,10 @@ TEST(XmlParser, SiblingPositions) {
   auto r = ParseXml("<r><x>1</x><y>a</y><x>2</x></r>");
   ASSERT_TRUE(r.ok());
   const hdt::Hdt& t = *r;
-  const auto& kids = t.node(t.root()).children;
-  EXPECT_EQ(t.node(kids[0]).pos, 0);  // x[0]
-  EXPECT_EQ(t.node(kids[1]).pos, 0);  // y[0]
-  EXPECT_EQ(t.node(kids[2]).pos, 1);  // x[1]
+  const auto& kids = test::Kids(t, t.root());
+  EXPECT_EQ(t.Pos(kids[0]), 0);  // x[0]
+  EXPECT_EQ(t.Pos(kids[1]), 0);  // y[0]
+  EXPECT_EQ(t.Pos(kids[2]), 1);  // x[1]
 }
 
 TEST(XmlParser, EntitiesDecoded) {
@@ -60,7 +61,7 @@ TEST(XmlParser, EntitiesDecoded) {
 TEST(XmlParser, EntityInAttribute) {
   auto r = ParseXml(R"(<a v="&quot;q&quot; &apos;s&apos;"/>)");
   ASSERT_TRUE(r.ok());
-  const auto& kids = r->node(r->root()).children;
+  const auto& kids = test::Kids(*r, r->root());
   EXPECT_EQ(r->Data(kids[0]), "\"q\" 's'");
 }
 
@@ -75,7 +76,7 @@ TEST(XmlParser, CommentsAndPiSkipped) {
       "<?xml version=\"1.0\"?><!-- c --><r><!-- inner --><a>1</a><?pi "
       "data?></r>");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->node(r->root()).children.size(), 1u);
+  EXPECT_EQ(test::Kids(*r, r->root()).size(), 1u);
 }
 
 TEST(XmlParser, DoctypeSkipped) {
@@ -87,7 +88,7 @@ TEST(XmlParser, DoctypeSkipped) {
 TEST(XmlParser, SelfClosingEmptyElement) {
   auto r = ParseXml("<r><empty/></r>");
   ASSERT_TRUE(r.ok());
-  const auto& kids = r->node(r->root()).children;
+  const auto& kids = test::Kids(*r, r->root());
   ASSERT_EQ(kids.size(), 1u);
   EXPECT_TRUE(r->IsLeaf(kids[0]));
   EXPECT_FALSE(r->HasData(kids[0]));
@@ -96,7 +97,7 @@ TEST(XmlParser, SelfClosingEmptyElement) {
 TEST(XmlParser, WhitespaceOnlyTextIgnored) {
   auto r = ParseXml("<r>\n  <a>1</a>\n  <b>2</b>\n</r>");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->node(r->root()).children.size(), 2u);
+  EXPECT_EQ(test::Kids(*r, r->root()).size(), 2u);
 }
 
 // --- error cases ---------------------------------------------------------
@@ -160,9 +161,10 @@ TEST(XmlWriter, RoundTripsHdt) {
 }
 
 TEST(XmlWriter, EscapesSpecialCharacters) {
-  hdt::Hdt t;
-  auto root = t.AddRoot("r");
-  t.AddChild(root, "a", "x < y & z");
+  hdt::HdtBuilder b;
+  auto root = b.AddRoot("r");
+  b.AddChild(root, "a", "x < y & z");
+  const hdt::Hdt t = b.Finish();
   std::string emitted = *WriteXml(t);
   EXPECT_NE(emitted.find("x &lt; y &amp; z"), std::string::npos);
   auto back = ParseXml(emitted);

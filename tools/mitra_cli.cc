@@ -205,7 +205,6 @@ int Synth(const std::map<std::string, std::string>& flags) {
 
   auto tree = ParseDoc(doc_it->second);
   if (!tree.ok()) return Fail(tree.status());
-  tree->FreezeIndex();
   auto table = LoadCsvTable(table_it->second);
   if (!table.ok()) return Fail(table.status());
 
@@ -255,9 +254,6 @@ int Apply(const std::map<std::string, std::string>& flags) {
   }
   auto tree = ParseDoc(doc_it->second);
   if (!tree.ok()) return Fail(tree.status());
-  // The apply path is the learn-small/execute-huge hot side: the frozen
-  // index (compact) turns descendant scans into posting-list slices.
-  tree->FreezeIndex();
   const int threads_flag = ThreadsFlag(flags);
   const unsigned threads =
       threads_flag == 0
@@ -319,7 +315,6 @@ int Migrate(const std::map<std::string, std::string>& flags) {
 
   auto tree = ParseDoc(doc_it->second);
   if (!tree.ok()) return Fail(tree.status());
-  tree->FreezeIndex();
 
   auto specs = ParseTablesFlag(tables_it->second);
   if (!specs.ok()) return Fail(specs.status());
@@ -368,9 +363,8 @@ int Migrate(const std::map<std::string, std::string>& flags) {
     auto parsed = ParseDoc(target_it->second);
     if (!parsed.ok()) return Fail(parsed.status());
     target.emplace(std::move(*parsed));
-    target->FreezeIndex();
   }
-  hdt::Hdt* doc = target ? &*target : &*tree;
+  const hdt::Hdt* doc = target ? &*target : &*tree;
   db::Database out = migrator.ExecuteTolerant({doc}, &*report, mopts);
   // Per-migration work counters (learn + execute), embedded in the
   // --report=json output.
