@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <queue>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "core/extractor_memo.h"
@@ -17,14 +20,6 @@ namespace mitra::core {
 
 namespace {
 
-/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
-/// are compared as sets of rows since the cross-product semantics can
-/// produce benign duplicates when distinct node tuples project to the
-/// same data row). On success, `excess` receives the total number of
-/// duplicate rows produced across examples — a semantic-tightness signal
-/// used as a ranking tie-breaker: a program that keeps extra witnesses on
-/// the training example (typically via a coincidental data-level
-/// equality) will mis-pair rows at scale.
 /// Number of edges between two nodes of the same tree.
 size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   int da = tree.Depth(a), db = tree.Depth(b);
@@ -47,6 +42,17 @@ size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   return dist;
 }
 
+/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
+/// are compared as sets of rows since the cross-product semantics can
+/// produce benign duplicates when distinct node tuples project to the
+/// same data row). On success, `excess` receives the total number of
+/// duplicate rows produced across examples — a semantic-tightness signal
+/// used as a ranking tie-breaker: a program that keeps extra witnesses on
+/// the training example (typically via a coincidental data-level
+/// equality) will mis-pair rows at scale. `spread` receives the summed
+/// TreeDistance from each output tuple's first node to its others — the
+/// structural-cohesion tie-breaker that follows `excess` in RankedCost.
+///
 /// `want_norm[i]` must be examples[i].table already Dedup()ed and
 /// SortRows()ed — the normalization is invariant across candidates, so
 /// the caller hoists it out of the Phase-2 loop instead of paying a table
@@ -79,6 +85,36 @@ bool VerifyProgram(const Examples& examples,
     if (got.rows() != want_norm[ei].rows()) return false;
   }
   return true;
+}
+
+/// The key of ψ's predicate-learning instance: the node lists ψ's columns
+/// evaluate to on every example, framed by their lengths. LearnPredicate
+/// and VerifyProgram read ψ only through these lists (atoms name a
+/// column by index and apply node extractors to its listed nodes), so
+/// every ψ with one key learns the same atoms and formula and verifies
+/// alike; only the extractor cost of its own columns tells them apart.
+/// Without a memo the lists are evaluated here, so the key never shows up
+/// in memo traffic.
+std::string InstanceKey(const Examples& examples,
+                        const std::vector<dsl::ColumnExtractor>& psi,
+                        ExtractorMemoCache* memo) {
+  std::string key;
+  auto append = [&key](const std::vector<hdt::NodeId>& nodes) {
+    const uint64_t n = nodes.size();
+    key.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    key.append(reinterpret_cast<const char*>(nodes.data()),
+               nodes.size() * sizeof(hdt::NodeId));
+  };
+  for (const dsl::ColumnExtractor& pi : psi) {
+    if (memo != nullptr) {
+      for (const auto& nodes : memo->Columns(examples, pi)->values) {
+        append(nodes);
+      }
+    } else {
+      for (const Example& e : examples) append(dsl::EvalColumn(*e.tree, pi));
+    }
+  }
+  return key;
 }
 
 /// Ranking key: θ's atom count first, then semantic tightness and
@@ -244,14 +280,30 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
     want_norm.push_back(std::move(t));
   }
 
-  /// Everything the merge step needs from evaluating one combo.
-  struct Outcome {
-    Status failure;         ///< non-OK when LearnPredicate failed
+  auto psi_of = [&](const std::vector<size_t>& idx) {
+    std::vector<dsl::ColumnExtractor> psi;
+    psi.reserve(k);
+    for (size_t j = 0; j < k; ++j) psi.push_back(candidates[j][idx[j]]);
+    return psi;
+  };
+
+  /// One distinct predicate-learning instance (see InstanceKey): what
+  /// LearnPredicate and VerifyProgram decide for every ψ with its key.
+  /// Each instance is learned once per run, with the ψ that met it first.
+  struct Instance {
+    std::vector<dsl::ColumnExtractor> psi;
+    Status failure;  ///< non-OK when LearnPredicate failed
     size_t universe_size = 0;
     bool verified = false;
-    dsl::Program program;   ///< set iff verified
+    std::vector<dsl::Atom> atoms;  ///< set iff verified
+    dsl::Dnf formula;
     size_t excess = 0, spread = 0;
+    /// A tried combo has taken this instance in the merge loop.
+    bool merged = false;
   };
+  std::vector<Instance> instances;
+  std::unordered_map<std::string, size_t> instance_of;  // key → index
+  constexpr size_t kNoInstance = SIZE_MAX;
 
   Status last_failure = Status::SynthesisFailure("no table extractor tried");
   const size_t wave_cap = tpool ? static_cast<size_t>(tpool->size()) * 2 : 1;
@@ -273,7 +325,8 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
                opts.max_consistent_programs -
                    stats.table_extractors_consistent));
     std::vector<Combo> wave;
-    std::vector<char> skip_eval;
+    std::vector<size_t> wave_instance;  // kNoInstance: evaluation skipped
+    std::vector<size_t> to_learn;       // instances first met in this wave
     while (wave.size() < std::min(wave_cap, budget_cap) &&
            !frontier.empty()) {
       Combo combo = frontier.top();
@@ -291,48 +344,54 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       // A combo prunable against the pre-wave incumbent stays prunable
       // at merge time (the prune condition is monotone in best_cost), so
       // its evaluation can be skipped outright — the merge step below
-      // re-derives the same `continue`.
-      skip_eval.push_back(found && best_cost.atoms == 0 &&
-                          best_cost.excess == 0 &&
-                          combo.total_cost >= best_cost.col_constructs);
+      // re-derives the same `continue`. Any other combo takes the
+      // instance of its key, which is learned in this wave unless an
+      // earlier combo already met it.
+      size_t inst = kNoInstance;
+      if (!(found && best_cost.atoms == 0 && best_cost.excess == 0 &&
+            combo.total_cost >= best_cost.col_constructs)) {
+        std::vector<dsl::ColumnExtractor> psi = psi_of(combo.idx);
+        auto [it, fresh] = instance_of.try_emplace(
+            InstanceKey(examples, psi, popts.universe.memo), instances.size());
+        if (fresh) {
+          to_learn.push_back(instances.size());
+          instances.emplace_back().psi = std::move(psi);
+        }
+        inst = it->second;
+      }
+      wave_instance.push_back(inst);
       wave.push_back(std::move(combo));
     }
     MITRA_COUNT("synth/phase2/waves", 1);
     MITRA_HISTOGRAM("synth/phase2/wave_size", wave.size());
 
-    // Evaluate the wave on the pool. Evaluation is speculative: pruning
-    // and stopping decisions are re-applied at merge time below, where a
-    // late combo's result may simply be discarded — wasted work under
-    // contention, never a changed result.
-    // Evaluation failures are captured per-outcome (not returned) so the
+    // Learn the wave's new instances on the pool. Evaluation is
+    // speculative: pruning and stopping decisions are re-applied at merge
+    // time below, where a late combo's result may simply be discarded —
+    // wasted work under contention, never a changed result.
+    // Evaluation failures are captured per instance (not returned) so the
     // merge below replays the sequential decision order; the token still
-    // short-circuits unclaimed wave items once the governor trips.
-    std::vector<Outcome> outcomes(wave.size());
+    // short-circuits unclaimed instances once the governor trips.
     Status wave_status = common::ParallelForStatus(
-        tpool, wave.size(), [&](size_t i) -> Status {
-      if (skip_eval[i]) return Status::OK();
-      Outcome& out = outcomes[i];
-      std::vector<dsl::ColumnExtractor> psi;
-      psi.reserve(k);
-      for (size_t j = 0; j < k; ++j) {
-        psi.push_back(candidates[j][wave[i].idx[j]]);
-      }
-      auto learned = LearnPredicate(examples, psi, popts);
+        tpool, to_learn.size(), [&](size_t i) -> Status {
+      Instance& in = instances[to_learn[i]];
+      auto learned = LearnPredicate(examples, in.psi, popts);
       if (!learned.ok()) {
-        out.failure = learned.status();
+        in.failure = learned.status();
         return Status::OK();
       }
-      out.universe_size = learned->universe_size;
+      in.universe_size = learned->universe_size;
       dsl::Program p;
-      p.columns = std::move(psi);
-      p.atoms = learned->atoms;
-      p.formula = learned->formula;
-      if (!VerifyProgram(examples, want_norm, p, popts.eval, &out.excess,
-                         &out.spread)) {
+      p.columns = in.psi;
+      p.atoms = std::move(learned->atoms);
+      p.formula = std::move(learned->formula);
+      if (!VerifyProgram(examples, want_norm, p, popts.eval, &in.excess,
+                         &in.spread)) {
         return Status::OK();
       }
-      out.verified = true;
-      out.program = std::move(p);
+      in.verified = true;
+      in.atoms = std::move(p.atoms);
+      in.formula = std::move(p.formula);
       return Status::OK();
         },
         gov->token());
@@ -374,15 +433,25 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       }
       ++stats.table_extractors_tried;
 
-      Outcome& out = outcomes[i];
-      if (!out.failure.ok()) {
-        last_failure = out.failure;
+      // Each tried combo takes its instance's outcome. The first tried
+      // combo of an instance counts as distinct, later ones as shared;
+      // counted here, in pop order, so the split is the same at any
+      // thread count (wave formation meets instances speculatively).
+      Instance& in = instances[wave_instance[i]];
+      if (in.merged) {
+        MITRA_COUNT("synth/phase2/instances_shared", 1);
+      } else {
+        MITRA_COUNT("synth/phase2/instances_distinct", 1);
+        in.merged = true;
+      }
+      if (!in.failure.ok()) {
+        last_failure = in.failure;
         MITRA_COUNT("synth/phase2/candidates_pruned", 1);
         continue;
       }
       stats.max_universe_size =
-          std::max(stats.max_universe_size, out.universe_size);
-      if (!out.verified) {
+          std::max(stats.max_universe_size, in.universe_size);
+      if (!in.verified) {
         last_failure = Status::SynthesisFailure(
             "candidate program failed end-to-end verification");
         MITRA_COUNT("synth/phase2/candidates_pruned", 1);
@@ -390,12 +459,16 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       }
       MITRA_COUNT("synth/phase2/candidates_accepted", 1);
       ++stats.table_extractors_consistent;
-      dsl::Cost cost = dsl::ProgramCost(out.program);
-      RankedCost ranked{cost.atoms, out.excess, out.spread,
+      dsl::Program program;
+      program.columns = psi_of(wave[i].idx);
+      program.atoms = in.atoms;
+      program.formula = in.formula;
+      dsl::Cost cost = dsl::ProgramCost(program);
+      RankedCost ranked{cost.atoms, in.excess, in.spread,
                         cost.col_constructs, cost.detail};
       if (ranked < best_cost) {
         best_cost = ranked;
-        best.program = std::move(out.program);
+        best.program = std::move(program);
         found = true;
       }
       if (stats.table_extractors_consistent >= opts.max_consistent_programs) {

@@ -95,45 +95,107 @@ Status Migrator::Learn(
   example_tuples_.clear();
   info_.clear();
 
+  // Three passes reproduce the sequential loop's tables, error and cache
+  // writes. The calling thread checks each example and consults the cache
+  // in schema order, up to the first malformed example; the misses are
+  // synthesized concurrently; then the calling thread installs and stores
+  // the results in schema order, up to the first failing table.
+  struct Slot {
+    const TableDef* table = nullptr;
+    const hdt::Table* example = nullptr;
+    bool cache_hit = false;
+    std::optional<LearnedTable> learned;
+    core::SynthesisResult synthesized;  ///< a miss's result, to store
+    Status status;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(schema_.tables.size());
+  std::vector<size_t> misses;
+  Status malformed;
   for (const TableDef& t : schema_.tables) {
     auto it = table_examples.find(t.name);
     if (it == table_examples.end()) {
-      return Status::InvalidArgument("no example for table " + t.name);
+      malformed = Status::InvalidArgument("no example for table " + t.name);
+      break;
     }
     if (it->second.NumCols() != t.NumDataColumns()) {
-      return Status::InvalidArgument(
+      malformed = Status::InvalidArgument(
           "example for table " + t.name + " has " +
           std::to_string(it->second.NumCols()) + " columns, schema has " +
           std::to_string(t.NumDataColumns()) + " data columns");
+      break;
     }
+    Slot& slot = slots.emplace_back();
+    slot.table = &t;
+    slot.example = &it->second;
     Status cache_why;  // strict path has no retry trail; miss reasons drop
-    if (TryCachedProgram(t, example_tree, it->second, opts, &cache_why)) {
-      continue;
-    }
-    auto start = std::chrono::steady_clock::now();
-    auto result =
-        core::LearnTransformation(example_tree, it->second, opts.synthesis);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    "synthesis failed for table " + t.name + ": " +
-                        result.status().message());
-    }
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    programs_[t.name] = result->program;
-    info_.push_back(TableSynthesisInfo{t.name, secs, result->program});
-
-    MITRA_ASSIGN_OR_RETURN(
-        example_tuples_[t.name],
-        dsl::EvalProgramNodeTuples(example_tree, result->program));
-    if (example_tuples_[t.name].empty()) {
-      return Status::SynthesisFailure("program for table " + t.name +
-                                      " yields no example rows");
-    }
-    StoreCachedProgram(example_tree, it->second, opts, *result);
+    slot.learned =
+        LookupCachedProgram(t, example_tree, it->second, opts, &cache_why);
+    slot.cache_hit = slot.learned.has_value();
+    if (!slot.cache_hit) misses.push_back(slots.size() - 1);
   }
+
+  // At most num_threads tables at a time, each with its own synthesis
+  // pool. Past the first failing miss, unclaimed misses are skipped: the
+  // sequential loop would never have reached them.
+  const unsigned threads =
+      opts.synthesis.num_threads == 0
+          ? common::ThreadPool::HardwareThreads()
+          : static_cast<unsigned>(std::max(1, opts.synthesis.num_threads));
+  std::optional<common::ThreadPool> pool;
+  if (threads > 1 && misses.size() > 1) {
+    pool.emplace(static_cast<unsigned>(
+        std::min<size_t>(threads, misses.size())));
+  }
+  (void)common::ParallelForStatus(
+      pool ? &*pool : nullptr, misses.size(), [&](size_t m) -> Status {
+        Slot& slot = slots[misses[m]];
+        const std::string& name = slot.table->name;
+        auto start = std::chrono::steady_clock::now();
+        auto result = core::LearnTransformation(example_tree, *slot.example,
+                                                opts.synthesis);
+        if (!result.ok()) {
+          slot.status = Status(result.status().code(),
+                               "synthesis failed for table " + name + ": " +
+                                   result.status().message());
+          return slot.status;
+        }
+        LearnedTable learned;
+        learned.seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        learned.program = result->program;
+        auto tuples =
+            dsl::EvalProgramNodeTuples(example_tree, result->program);
+        if (!tuples.ok()) {
+          slot.status = tuples.status();
+        } else if (tuples->empty()) {
+          slot.status = Status::SynthesisFailure(
+              "program for table " + name + " yields no example rows");
+        } else {
+          learned.tuples = std::move(*tuples);
+          slot.learned = std::move(learned);
+          slot.synthesized = std::move(*result);
+        }
+        return slot.status;
+      });
+
+  for (Slot& slot : slots) {
+    MITRA_RETURN_IF_ERROR(slot.status);
+    Install(slot.table->name, std::move(*slot.learned));
+    if (!slot.cache_hit) {
+      StoreCachedProgram(example_tree, *slot.example, opts, slot.synthesized);
+    }
+  }
+  MITRA_RETURN_IF_ERROR(malformed);
   return LearnForeignKeys(example_tree, opts);
+}
+
+void Migrator::Install(const std::string& table, LearnedTable learned) {
+  programs_[table] = learned.program;
+  example_tuples_[table] = std::move(learned.tuples);
+  info_.push_back(
+      TableSynthesisInfo{table, learned.seconds, std::move(learned.program)});
 }
 
 Status Migrator::LearnForeignKeys(const hdt::Hdt& tree,
@@ -550,14 +612,14 @@ std::string MigrationReport::ToJson() const {
   return out;
 }
 
-bool Migrator::TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
-                                const hdt::Table& example,
-                                const MigratorOptions& opts, Status* why) {
+std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
+    const TableDef& t, const hdt::Hdt& tree, const hdt::Table& example,
+    const MigratorOptions& opts, Status* why) const {
   *why = Status::OK();
-  if (opts.program_cache == nullptr) return false;
+  if (opts.program_cache == nullptr) return std::nullopt;
   std::optional<CachedProgram> entry =
       opts.program_cache->Lookup(ProgramCacheKey(tree, example));
-  if (!entry.has_value()) return false;
+  if (!entry.has_value()) return std::nullopt;
   // Re-verify against the example under a bounded governor, mirroring the
   // synthesizer's own consistency check (VerifyProgram): a poisoned or
   // colliding entry must read as a miss, never emit wrong tables, and
@@ -568,6 +630,7 @@ bool Migrator::TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
   }
   common::Governor gov(limits);
   auto start = std::chrono::steady_clock::now();
+  LearnedTable learned;
   Status st = [&]() -> Status {
     if (entry->program.columns.size() != example.NumCols()) {
       return Status::InvalidArgument(
@@ -596,20 +659,18 @@ bool Migrator::TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
           "cached program for table " + t.name +
           " is inconsistent with the example");
     }
-    programs_[t.name] = entry->program;
-    example_tuples_[t.name] = std::move(tuples);
-    info_.push_back(TableSynthesisInfo{
-        t.name,
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count(),
-        entry->program});
+    learned.program = std::move(entry->program);
+    learned.tuples = std::move(tuples);
     return Status::OK();
   }();
   if (!st.ok()) {
     *why = st;
-    return false;
+    return std::nullopt;
   }
-  return true;
+  learned.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return learned;
 }
 
 void Migrator::StoreCachedProgram(const hdt::Hdt& tree,
@@ -636,7 +697,8 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
   {
     Status cache_why;
     auto cache_start = std::chrono::steady_clock::now();
-    bool hit = TryCachedProgram(t, tree, example, opts, &cache_why);
+    std::optional<LearnedTable> hit =
+        LookupCachedProgram(t, tree, example, opts, &cache_why);
     if (hit || !cache_why.ok()) {
       report->learn_seconds += std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() -
@@ -644,6 +706,7 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
                                    .count();
     }
     if (hit) {
+      Install(t.name, std::move(*hit));
       report->outcome = TableOutcome::kOk;
       report->rung = 0;
       report->cache_hit = true;
@@ -683,14 +746,11 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
         st = Status::SynthesisFailure("program for table " + t.name +
                                       " yields no example rows");
       } else {
-        programs_[t.name] = result->program;
-        example_tuples_[t.name] = std::move(*tuples);
-        info_.push_back(TableSynthesisInfo{
-            t.name,
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count(),
-            result->program});
+        Install(t.name,
+                LearnedTable{result->program, std::move(*tuples),
+                             std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count()});
         if (store_in_cache) StoreCachedProgram(tree, example, opts, *result);
       }
     }
@@ -767,14 +827,11 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
               " does not cover the example rows");
         }
       }
-      programs_[t.name] = p;
-      example_tuples_[t.name] = std::move(tuples);
-      info_.push_back(TableSynthesisInfo{
-          t.name,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count(),
-          p});
+      Install(t.name,
+              LearnedTable{std::move(p), std::move(tuples),
+                           std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count()});
       return Status::OK();
     }();
     report->learn_seconds +=

@@ -46,6 +46,10 @@ struct ForeignKeyPlan {
 /// Per-table learning statistics surfaced to the Table 2 harness.
 struct TableSynthesisInfo {
   std::string table;
+  /// Wall time of the table's synthesis (or of its cache lookup and
+  /// re-verification). Migrator::Learn synthesizes several tables at once
+  /// when num_threads > 1, so this is wall time under contention, not
+  /// the table's time alone.
   double synthesis_seconds = 0.0;
   dsl::Program program;
 };
@@ -173,7 +177,11 @@ class Migrator {
   /// Learns one program per table from a single database example: a
   /// document plus, per table, the expected *data columns* (key columns
   /// are generated, so they do not appear in examples). All tables must
-  /// be present.
+  /// be present. Tables the program cache misses are synthesized up to
+  /// `opts.synthesis.num_threads` at a time; cache lookups and stores,
+  /// info() and foreign-key learning stay on the calling thread in schema
+  /// order, and a failure returns the first failing table's error in
+  /// schema order, so every thread count learns the same migration.
   Status Learn(const hdt::Hdt& example_tree,
                const std::map<std::string, hdt::Table>& table_examples,
                const MigratorOptions& opts = {});
@@ -221,16 +229,31 @@ class Migrator {
   Status InstallLearnedProgram(const std::string& table, dsl::Program program);
 
   const std::vector<TableSynthesisInfo>& info() const { return info_; }
+  /// fk_plans()[table][column index] for kForeignKey columns.
+  const std::map<std::string, std::map<size_t, ForeignKeyPlan>>& fk_plans()
+      const {
+    return fk_plans_;
+  }
   const DatabaseSchema& schema() const { return schema_; }
 
  private:
-  /// Consults opts.program_cache for (tree, example); on a verified hit,
-  /// installs the program + example tuples and returns true. A corrupt,
-  /// mismatched, or unverifiable entry reads as a miss (`why` records the
-  /// reason for the retry trail).
-  bool TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
-                        const hdt::Table& example, const MigratorOptions& opts,
-                        Status* why);
+  /// A learned program with its example node tuples and the seconds it
+  /// took to learn (or to look up and re-verify).
+  struct LearnedTable {
+    dsl::Program program;
+    std::vector<dsl::NodeTuple> tuples;
+    double seconds = 0.0;
+  };
+  /// Records `learned` as `table`'s program, example tuples and info.
+  void Install(const std::string& table, LearnedTable learned);
+  /// Consults opts.program_cache for (tree, example) and returns the
+  /// verified hit. A corrupt, mismatched, or unverifiable entry reads as a
+  /// miss (`why` records the reason for the retry trail).
+  std::optional<LearnedTable> LookupCachedProgram(const TableDef& t,
+                                                  const hdt::Hdt& tree,
+                                                  const hdt::Table& example,
+                                                  const MigratorOptions& opts,
+                                                  Status* why) const;
   /// Stores a freshly synthesized full-budget program.
   void StoreCachedProgram(const hdt::Hdt& tree, const hdt::Table& example,
                           const MigratorOptions& opts,

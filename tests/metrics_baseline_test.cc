@@ -33,6 +33,8 @@ constexpr const char* kBaselinePath = "/baselines/metrics.json";
 /// tolerance band around noise.
 const char* const kPinnedMetrics[] = {
     "synth/phase2/candidates_enumerated",
+    "synth/phase2/instances_distinct",
+    "synth/phase2/instances_shared",
     "dfa/construct/states",
     "dfa/intersect/states",
     "dfa/enumerate/expansions",

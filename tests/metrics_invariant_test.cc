@@ -11,7 +11,9 @@
 ///  - hdt/build/{trees,nodes,dict_entries} count every finished tree
 ///    exactly once, with its node and dictionary sizes;
 ///  - the deterministic counter subset is identical at threads=1 and
-///    threads=8 (the parallel merge loop replays the sequential order);
+///    threads=8 (the parallel merge loop replays the sequential order),
+///    and there instances_distinct + instances_shared == table extractors
+///    tried (every tried ψ takes exactly one predicate-learning instance);
 ///  - an instrumented run populates >= 12 distinct counters across >= 5
 ///    layers and emits spans (the ISSUE 7 acceptance criterion).
 
@@ -73,7 +75,8 @@ bool IsDeterministicKey(const std::string& key) {
   return key.rfind("dfa/", 0) == 0 ||
          key == "synth/phase1/columns" ||
          key == "synth/phase1/column_candidates" ||
-         key.rfind("synth/phase2/candidates_", 0) == 0;
+         key.rfind("synth/phase2/candidates_", 0) == 0 ||
+         key.rfind("synth/phase2/instances_", 0) == 0;
 }
 
 MetricsSnapshot DeterministicSubset(const MetricsSnapshot& m) {
@@ -176,6 +179,14 @@ TEST(MetricsInvariant, DeterministicCountersIdenticalAcrossThreadCounts) {
         << task.id
         << ": deterministic counters diverged between threads=1 and "
         << "threads=8 (the merge loop must replay the sequential order)";
+    for (const auto* r : {&*r1, &*r8}) {
+      const auto& m = r->stats.metrics;
+      EXPECT_EQ(At(m, "synth/phase2/instances_distinct") +
+                    At(m, "synth/phase2/instances_shared"),
+                r->stats.table_extractors_tried)
+          << task.id << ": every tried table extractor must take exactly "
+          << "one predicate-learning instance";
+    }
   }
 }
 

@@ -1,23 +1,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/synthesizer.h"
+#include "db/migrator.h"
 #include "json/json_parser.h"
 #include "test_util.h"
 #include "workload/corpus.h"
+#include "workload/datasets.h"
 #include "xml/xml_parser.h"
 
 /// \file parallel_test.cc
 /// The parallel engine's contract is determinism: for every thread count,
 /// synthesis returns the same program and execution the same tuple
 /// sequence as the sequential run. These tests check the ThreadPool
-/// primitive itself, then the contract end-to-end over the full corpus.
+/// primitive itself, then the contract end-to-end over the full corpus
+/// and over Migrator::Learn, which synthesizes a schema's tables
+/// concurrently.
 
 namespace mitra {
 namespace {
@@ -158,6 +167,154 @@ TEST(ParallelSynthesis, ReportsMemoTraffic) {
   ASSERT_TRUE(result_off.ok());
   EXPECT_EQ(result_off->stats.memo_hits, 0u);
   EXPECT_EQ(result_off->stats.memo_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent table learning in db::Migrator::Learn
+
+hdt::Hdt ParseDatasetDoc(const workload::DatasetSpec& spec,
+                         const std::string& doc) {
+  return spec.format == workload::DocFormat::kXml ? ParseXmlOrDie(doc)
+                                                  : test::ParseJsonOrDie(doc);
+}
+
+std::map<std::string, hdt::Table> DatasetExamples(
+    const workload::DatasetSpec& spec) {
+  std::map<std::string, hdt::Table> examples;
+  for (const auto& [name, rows] : spec.example_tables) {
+    examples[name] = MakeTable(rows);
+  }
+  return examples;
+}
+
+db::MigratorOptions LearnOptions(int threads,
+                                 db::ProgramCache* cache = nullptr) {
+  db::MigratorOptions opts;
+  opts.synthesis.num_threads = threads;
+  opts.program_cache = cache;
+  return opts;
+}
+
+/// Everything a learned migration determines, printed: info() in order,
+/// the FK plans, and the CSV of every table migrated from `doc`.
+std::string DescribeMigration(const db::Migrator& m, const hdt::Hdt& doc) {
+  std::string out;
+  for (const db::TableSynthesisInfo& info : m.info()) {
+    out += info.table + "\t" + dsl::ToString(info.program) + "\n";
+  }
+  for (const auto& [table, plans] : m.fk_plans()) {
+    for (const auto& [col, plan] : plans) {
+      out += "fk " + table + "." + std::to_string(col) + ":";
+      for (size_t j = 0; j < plan.extractors.size(); ++j) {
+        out += " t" + std::to_string(plan.source_cols[j]) + "/" +
+               dsl::ToString(plan.extractors[j]);
+      }
+      out += "\n";
+    }
+  }
+  auto db = m.Execute(doc);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return out;
+  for (const auto& [name, table] : db->tables) {
+    out += "csv " + name + "\n" + WriteCsv(table.rows());
+  }
+  return out;
+}
+
+TEST(ParallelMigratorLearn, Table2SchemasIdenticalAcrossThreadCounts) {
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt example = ParseDatasetDoc(*spec, spec->example_document);
+    hdt::Hdt doc = ParseDatasetDoc(*spec, spec->generate(30, 7));
+    std::map<std::string, hdt::Table> examples = DatasetExamples(*spec);
+    std::string base;
+    for (int threads : {1, 8}) {
+      db::Migrator m(spec->schema);
+      Status st = m.Learn(example, examples, LearnOptions(threads));
+      ASSERT_TRUE(st.ok()) << spec->name << ": " << st.ToString();
+      ASSERT_EQ(m.info().size(), spec->schema.tables.size()) << spec->name;
+      for (size_t i = 0; i < m.info().size(); ++i) {
+        EXPECT_EQ(m.info()[i].table, spec->schema.tables[i].name)
+            << spec->name << " threads=" << threads;
+      }
+      std::string got = DescribeMigration(m, doc);
+      if (threads == 1) {
+        base = std::move(got);
+      } else {
+        EXPECT_EQ(got, base) << spec->name << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ParallelMigratorLearn, FirstFailingTableInSchemaOrderWins) {
+  hdt::Hdt tree = ParseXmlOrDie(R"(
+<people>
+  <person><name>A</name><city>X</city></person>
+  <person><name>B</name><city>Y</city></person>
+</people>
+)");
+  db::DatabaseSchema schema;
+  for (const char* name : {"names", "bad1", "cities", "bad2", "missing"}) {
+    schema.tables.push_back(
+        db::TableDef{name, {{"v", db::ColumnKind::kData, ""}}});
+  }
+  // No column extractor reaches a value absent from the tree, so bad1 and
+  // bad2 cannot be learned; "missing" has no example at all.
+  std::map<std::string, hdt::Table> examples{
+      {"names", MakeTable({{"A"}, {"B"}})},
+      {"bad1", MakeTable({{"nowhere"}})},
+      {"cities", MakeTable({{"X"}, {"Y"}})},
+      {"bad2", MakeTable({{"absent"}})},
+  };
+  std::optional<std::string> base;
+  for (int threads : {1, 8}) {
+    db::Migrator m(schema);
+    Status st = m.Learn(tree, examples, LearnOptions(threads));
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kSynthesisFailure) << st.ToString();
+    EXPECT_NE(st.message().find("table bad1"), std::string::npos)
+        << "threads=" << threads << ": " << st.ToString();
+    if (!base) {
+      base = st.ToString();
+    } else {
+      EXPECT_EQ(st.ToString(), *base) << "threads=" << threads;
+    }
+  }
+}
+
+/// Misses every lookup and records each Store with its calling thread.
+class RecordingCache : public db::ProgramCache {
+ public:
+  std::optional<db::CachedProgram> Lookup(const std::string&) override {
+    return std::nullopt;
+  }
+  Status Store(const std::string& key, const db::CachedProgram&) override {
+    stored.push_back(key);
+    threads.push_back(std::this_thread::get_id());
+    return Status::OK();
+  }
+  std::vector<std::string> stored;
+  std::vector<std::thread::id> threads;
+};
+
+TEST(ParallelMigratorLearn, CacheStoresRunInSchemaOrderOnTheCallingThread) {
+  const workload::DatasetSpec& spec = workload::Dblp();
+  hdt::Hdt example = ParseDatasetDoc(spec, spec.example_document);
+  std::map<std::string, hdt::Table> examples = DatasetExamples(spec);
+  std::vector<std::string> want;
+  for (const db::TableDef& t : spec.schema.tables) {
+    want.push_back(db::ProgramCacheKey(example, examples.at(t.name)));
+  }
+  for (int threads : {1, 8}) {
+    RecordingCache cache;
+    db::Migrator m(spec.schema);
+    Status st = m.Learn(example, examples, LearnOptions(threads, &cache));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(cache.stored, want) << "threads=" << threads;
+    for (const std::thread::id& id : cache.threads) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/column_learner.h"
 #include "core/predicate_learner.h"
 #include "dsl/eval.h"
 #include "test_util.h"
+#include "workload/corpus.h"
+#include "workload/datasets.h"
 
 namespace mitra::core {
 namespace {
@@ -158,6 +165,89 @@ TEST(LearnPredicate, GreedyCoverModeStillConsistent) {
   p.atoms = learned->atoms;
   p.formula = learned->formula;
   test::ExpectProgramYields(t, p, r);
+}
+
+/// Expects two LearnPredicate results to be the same predicate.
+void ExpectSameLearnedPredicate(const Result<LearnedPredicate>& a,
+                                const Result<LearnedPredicate>& b,
+                                const std::string& what) {
+  ASSERT_EQ(a.ok(), b.ok()) << what;
+  if (!a.ok()) {
+    EXPECT_EQ(a.status().ToString(), b.status().ToString()) << what;
+    return;
+  }
+  ASSERT_EQ(a->atoms.size(), b->atoms.size()) << what;
+  for (size_t i = 0; i < a->atoms.size(); ++i) {
+    EXPECT_EQ(dsl::ToString(a->atoms[i]), dsl::ToString(b->atoms[i])) << what;
+  }
+  EXPECT_EQ(dsl::ToString(a->formula, a->atoms),
+            dsl::ToString(b->formula, b->atoms))
+      << what;
+  EXPECT_EQ(a->universe_size, b->universe_size) << what;
+  EXPECT_EQ(a->cover_optimal, b->cover_optimal) << what;
+  EXPECT_EQ(a->num_positive, b->num_positive) << what;
+  EXPECT_EQ(a->num_negative, b->num_negative) << what;
+}
+
+/// The synthesizer learns each predicate-learning instance once per run,
+/// keyed by the node lists ψ's columns evaluate to, and hands the result
+/// to every ψ with that key. Sound only if LearnPredicate reads ψ through
+/// those lists alone. Per column, takes the first two candidates that
+/// evaluate alike (or the first candidate twice when none do); the two ψ
+/// so built must learn the same predicate without the memo. Returns
+/// whether the task had such a pair.
+bool CheckEqualNodeListPair(const std::string& id, const hdt::Hdt& tree,
+                            const hdt::Table& table) {
+  Examples ex{{&tree, &table}};
+  std::vector<dsl::ColumnExtractor> a, b;
+  ColSymbolPool pool;
+  for (size_t j = 0; j < table.NumCols(); ++j) {
+    auto cands = LearnColumnExtractors(ex, static_cast<int>(j), &pool);
+    if (!cands.ok() || cands->empty()) return false;
+    a.push_back((*cands)[0]);
+    b.push_back((*cands)[0]);
+    std::map<std::vector<hdt::NodeId>, size_t> first_with;
+    for (size_t c = 0; c < cands->size(); ++c) {
+      auto [it, fresh] =
+          first_with.try_emplace(dsl::EvalColumn(tree, (*cands)[c]), c);
+      if (!fresh) {
+        a.back() = (*cands)[it->second];
+        b.back() = (*cands)[c];
+        break;
+      }
+    }
+  }
+  if (a == b) return false;
+  ExpectSameLearnedPredicate(LearnPredicate(ex, a), LearnPredicate(ex, b), id);
+  return true;
+}
+
+hdt::Hdt ParseDoc(workload::DocFormat format, const std::string& doc) {
+  return format == workload::DocFormat::kXml ? ParseXmlOrDie(doc)
+                                             : test::ParseJsonOrDie(doc);
+}
+
+TEST(LearnPredicate, EqualColumnNodeListsLearnEqualPredicatesCorpus) {
+  size_t pairs = 0;
+  for (const workload::CorpusTask& task : workload::FullCorpus()) {
+    hdt::Hdt tree = ParseDoc(task.format, task.document);
+    pairs += CheckEqualNodeListPair(task.id, tree, MakeTable(task.output));
+  }
+  // Nearly every task has such a pair (91 of 98): a shorter and a longer
+  // path often select the same nodes.
+  EXPECT_GE(pairs, 90u);
+}
+
+TEST(LearnPredicate, EqualColumnNodeListsLearnEqualPredicatesTable2) {
+  size_t pairs = 0;
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt tree = ParseDoc(spec->format, spec->example_document);
+    for (const auto& [name, rows] : spec->example_tables) {
+      pairs += CheckEqualNodeListPair(spec->name + "." + name, tree,
+                                      MakeTable(rows));
+    }
+  }
+  EXPECT_EQ(pairs, 50u);  // every Table 2 table has one
 }
 
 }  // namespace
