@@ -95,10 +95,8 @@ Result<std::string> NaivePerDocRun(const pipeline::BatchManifest& m) {
     MITRA_ASSIGN_OR_RETURN(std::string doc_text,
                            fs->ReadFile(m.documents[d]));
     MITRA_ASSIGN_OR_RETURN(hdt::Hdt doc, xml::ParseXml(doc_text));
-    db::MigratorOptions mopts;
-    mopts.doc_index_base = static_cast<int>(d);
     MITRA_ASSIGN_OR_RETURN(db::Database db,
-                           migrator.Execute(doc, static_cast<int>(d), mopts));
+                           migrator.Execute(doc, static_cast<int>(d)));
     merged += WriteCsv(db.tables.at(m.tables[0].first).rows());
   }
   return merged;

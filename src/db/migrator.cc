@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 
@@ -46,6 +45,10 @@ class KeyHasher {
   std::uint64_t h1_ = 1469598103934665603ULL;
   std::uint64_t h2_ = 0x2f72c98b0a5a37b1ULL;
 };
+
+/// The degradation ladder's rungs: full budgets, reduced caps, and a
+/// projection-only program.
+constexpr int kLadderRungs = 3;
 
 }  // namespace
 
@@ -89,106 +92,15 @@ Status Migrator::Learn(
     const hdt::Hdt& example_tree,
     const std::map<std::string, hdt::Table>& table_examples,
     const MigratorOptions& opts) {
-  MITRA_RETURN_IF_ERROR(schema_.Validate());
-  programs_.clear();
-  fk_plans_.clear();
-  example_tuples_.clear();
-  info_.clear();
+  return LearnTables(example_tree, table_examples, opts, /*num_rungs=*/1)
+      .status();
+}
 
-  // Three passes reproduce the sequential loop's tables, error and cache
-  // writes. The calling thread checks each example and consults the cache
-  // in schema order, up to the first malformed example; the misses are
-  // synthesized concurrently; then the calling thread installs and stores
-  // the results in schema order, up to the first failing table.
-  struct Slot {
-    const TableDef* table = nullptr;
-    const hdt::Table* example = nullptr;
-    bool cache_hit = false;
-    std::optional<LearnedTable> learned;
-    core::SynthesisResult synthesized;  ///< a miss's result, to store
-    Status status;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(schema_.tables.size());
-  std::vector<size_t> misses;
-  Status malformed;
-  for (const TableDef& t : schema_.tables) {
-    auto it = table_examples.find(t.name);
-    if (it == table_examples.end()) {
-      malformed = Status::InvalidArgument("no example for table " + t.name);
-      break;
-    }
-    if (it->second.NumCols() != t.NumDataColumns()) {
-      malformed = Status::InvalidArgument(
-          "example for table " + t.name + " has " +
-          std::to_string(it->second.NumCols()) + " columns, schema has " +
-          std::to_string(t.NumDataColumns()) + " data columns");
-      break;
-    }
-    Slot& slot = slots.emplace_back();
-    slot.table = &t;
-    slot.example = &it->second;
-    Status cache_why;  // strict path has no retry trail; miss reasons drop
-    slot.learned =
-        LookupCachedProgram(t, example_tree, it->second, opts, &cache_why);
-    slot.cache_hit = slot.learned.has_value();
-    if (!slot.cache_hit) misses.push_back(slots.size() - 1);
-  }
-
-  // At most num_threads tables at a time, each with its own synthesis
-  // pool. Past the first failing miss, unclaimed misses are skipped: the
-  // sequential loop would never have reached them.
-  const unsigned threads =
-      opts.synthesis.num_threads == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, opts.synthesis.num_threads));
-  std::optional<common::ThreadPool> pool;
-  if (threads > 1 && misses.size() > 1) {
-    pool.emplace(static_cast<unsigned>(
-        std::min<size_t>(threads, misses.size())));
-  }
-  (void)common::ParallelForStatus(
-      pool ? &*pool : nullptr, misses.size(), [&](size_t m) -> Status {
-        Slot& slot = slots[misses[m]];
-        const std::string& name = slot.table->name;
-        auto start = std::chrono::steady_clock::now();
-        auto result = core::LearnTransformation(example_tree, *slot.example,
-                                                opts.synthesis);
-        if (!result.ok()) {
-          slot.status = Status(result.status().code(),
-                               "synthesis failed for table " + name + ": " +
-                                   result.status().message());
-          return slot.status;
-        }
-        LearnedTable learned;
-        learned.seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        learned.program = result->program;
-        auto tuples =
-            dsl::EvalProgramNodeTuples(example_tree, result->program);
-        if (!tuples.ok()) {
-          slot.status = tuples.status();
-        } else if (tuples->empty()) {
-          slot.status = Status::SynthesisFailure(
-              "program for table " + name + " yields no example rows");
-        } else {
-          learned.tuples = std::move(*tuples);
-          slot.learned = std::move(learned);
-          slot.synthesized = std::move(*result);
-        }
-        return slot.status;
-      });
-
-  for (Slot& slot : slots) {
-    MITRA_RETURN_IF_ERROR(slot.status);
-    Install(slot.table->name, std::move(*slot.learned));
-    if (!slot.cache_hit) {
-      StoreCachedProgram(example_tree, *slot.example, opts, slot.synthesized);
-    }
-  }
-  MITRA_RETURN_IF_ERROR(malformed);
-  return LearnForeignKeys(example_tree, opts);
+Result<MigrationReport> Migrator::LearnTolerant(
+    const hdt::Hdt& example_tree,
+    const std::map<std::string, hdt::Table>& table_examples,
+    const MigratorOptions& opts) {
+  return LearnTables(example_tree, table_examples, opts, kLadderRungs);
 }
 
 void Migrator::Install(const std::string& table, LearnedTable learned) {
@@ -196,15 +108,6 @@ void Migrator::Install(const std::string& table, LearnedTable learned) {
   example_tuples_[table] = std::move(learned.tuples);
   info_.push_back(
       TableSynthesisInfo{table, learned.seconds, std::move(learned.program)});
-}
-
-Status Migrator::LearnForeignKeys(const hdt::Hdt& tree,
-                                  const MigratorOptions& opts) {
-  for (const TableDef& t : schema_.tables) {
-    MITRA_RETURN_IF_ERROR(
-        LearnForeignKeysForTable(t, tree, opts, /*gov=*/nullptr));
-  }
-  return Status::OK();
 }
 
 Status Migrator::LearnForeignKeysForTable(const TableDef& t,
@@ -473,15 +376,15 @@ bool MigrationReport::complete() const {
   return true;
 }
 
+bool TableIsLive(const TableReport* report) {
+  return report != nullptr && report->outcome != TableOutcome::kFailed &&
+         report->outcome != TableOutcome::kSkipped;
+}
+
 size_t MigrationReport::num_failed() const {
-  size_t n = 0;
-  for (const TableReport& t : tables) {
-    if (t.outcome == TableOutcome::kFailed ||
-        t.outcome == TableOutcome::kSkipped) {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<size_t>(
+      std::count_if(tables.begin(), tables.end(),
+                    [](const TableReport& t) { return !TableIsLive(&t); }));
 }
 
 TableReport* MigrationReport::Find(const std::string& table) {
@@ -688,225 +591,255 @@ void Migrator::StoreCachedProgram(const hdt::Hdt& tree,
   (void)opts.program_cache->Store(ProgramCacheKey(tree, example), entry);
 }
 
-Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
-                                  const hdt::Table& example,
-                                  const MigratorOptions& opts,
-                                  TableReport* report) {
-  // Cache first: a verified hit is a rung-0 result (only full-budget
-  // programs are ever stored) with no synthesis run at all.
-  {
-    Status cache_why;
-    auto cache_start = std::chrono::steady_clock::now();
-    std::optional<LearnedTable> hit =
-        LookupCachedProgram(t, tree, example, opts, &cache_why);
-    if (hit || !cache_why.ok()) {
-      report->learn_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   cache_start)
-                                   .count();
-    }
-    if (hit) {
-      Install(t.name, std::move(*hit));
-      report->outcome = TableOutcome::kOk;
-      report->rung = 0;
-      report->cache_hit = true;
-      return Status::OK();
-    }
-    if (!cache_why.ok()) {
-      report->retry_trail.push_back("cache: " + cache_why.ToString());
-    }
-  }
+/// One table's learning state between LearnTables' passes. The cache
+/// lookup or RunLadder fills it (RunLadder possibly on a pool thread); the
+/// calling thread then applies it to the migrator and the report.
+struct Migrator::TableAttempt {
+  TableReport report;
+  std::optional<LearnedTable> learned;
+  /// The rung-0 synthesis result, for the program cache.
+  std::optional<core::SynthesisResult> synthesized;
+  /// The last rung's error when no rung learned the table.
+  Status status;
+};
 
-  // One attempt = one fresh governor: rung failures must not eat into the
-  // next rung's budget, and a poisoned table must not cancel its siblings.
-  auto rung_limits = [&](double fallback_deadline) {
-    common::ResourceLimits limits = opts.table_limits;
-    if (!limits.has_deadline()) limits.time_limit_seconds = fallback_deadline;
-    return limits;
-  };
+void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
+                         const hdt::Table& example,
+                         const MigratorOptions& opts, int num_rungs,
+                         TableAttempt* out) const {
+  const core::SynthesisOptions reduced =
+      ReducedSynthesisOptions(opts.synthesis);
 
-  auto attempt = [&](const core::SynthesisOptions& sopts,
-                     bool store_in_cache) -> Status {
-    common::Governor gov(rung_limits(sopts.time_limit_seconds));
+  // Rungs 0 and 1: synthesis, then the example node tuples under the same
+  // budgets (they feed foreign-key learning and can be the expensive part
+  // for a near-unconstrained program). Only rung 0 keeps its result for
+  // the cache: a degraded program must never shadow the full-budget result
+  // a later, better-budgeted run would synthesize (the key excludes
+  // budgets).
+  auto synthesize = [&](const core::SynthesisOptions& sopts,
+                        common::Governor* gov,
+                        bool keep_result) -> Result<LearnedTable> {
     core::SynthesisOptions governed = sopts;
-    governed.governor = &gov;
-    auto start = std::chrono::steady_clock::now();
-    auto result = core::LearnTransformation(tree, example, governed);
-    Status st = result.ok() ? Status::OK() : result.status();
-    if (st.ok()) {
-      // Materialize the example node tuples under the same budgets (they
-      // feed foreign-key learning and can be the expensive part for a
-      // near-unconstrained program).
-      dsl::EvalOptions ev = sopts.predicate.eval;
-      ev.governor = &gov;
-      auto tuples = dsl::EvalProgramNodeTuples(tree, result->program, ev);
-      if (!tuples.ok()) {
-        st = tuples.status();
-      } else if (tuples->empty()) {
-        st = Status::SynthesisFailure("program for table " + t.name +
+    governed.governor = gov;
+    MITRA_ASSIGN_OR_RETURN(core::SynthesisResult result,
+                           core::LearnTransformation(tree, example, governed));
+    dsl::EvalOptions ev = sopts.predicate.eval;
+    ev.governor = gov;
+    LearnedTable learned;
+    MITRA_ASSIGN_OR_RETURN(
+        learned.tuples, dsl::EvalProgramNodeTuples(tree, result.program, ev));
+    if (learned.tuples.empty()) {
+      return Status::SynthesisFailure("program for table " + t.name +
                                       " yields no example rows");
-      } else {
-        Install(t.name,
-                LearnedTable{result->program, std::move(*tuples),
-                             std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count()});
-        if (store_in_cache) StoreCachedProgram(tree, example, opts, *result);
-      }
     }
-    report->learn_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    report->usage.Accumulate(gov.Usage());
-    return st;
+    learned.program = result.program;
+    if (keep_result) out->synthesized = std::move(result);
+    return learned;
   };
-
-  // Rung 0: full budgets. Only this rung stores into the cache — a
-  // degraded program must never shadow the full-budget result a later,
-  // better-budgeted run would synthesize (the key excludes budgets).
-  Status st = attempt(opts.synthesis, /*store_in_cache=*/true);
-  if (st.ok()) {
-    report->outcome = TableOutcome::kOk;
-    report->rung = 0;
-    return Status::OK();
-  }
-  report->retry_trail.push_back("rung 0: " + st.ToString());
-
-  // Rung 1: reduced caps.
-  core::SynthesisOptions reduced = ReducedSynthesisOptions(opts.synthesis);
-  st = attempt(reduced, /*store_in_cache=*/false);
-  if (st.ok()) {
-    report->outcome = TableOutcome::kDegraded;
-    report->rung = 1;
-    return Status::OK();
-  }
-  report->retry_trail.push_back("rung 1: " + st.ToString());
 
   // Rung 2: projection-only fallback — the cheapest extractor per column
   // and φ = true. The emitted rows are a superset of the precise table
   // (each expected value is covered per column by Theorem 1, so every
   // expected combination appears in the cross product); verified below.
-  st = [&]() -> Status {
-    common::Governor gov(rung_limits(reduced.time_limit_seconds));
-    auto start = std::chrono::steady_clock::now();
+  auto project = [&](common::Governor* gov) -> Result<LearnedTable> {
     core::ColumnLearnOptions copts = reduced.column;
-    copts.dfa.governor = &gov;
-    copts.enumerate.governor = &gov;
+    copts.dfa.governor = gov;
+    copts.enumerate.governor = gov;
     copts.enumerate.max_programs = 1;  // only the cheapest is needed
     core::Examples examples{core::Example{&tree, &example}};
     core::ColSymbolPool pool;
-    dsl::Program p;
-    Status inner = [&]() -> Status {
-      for (size_t j = 0; j < example.NumCols(); ++j) {
-        MITRA_ASSIGN_OR_RETURN(
-            std::vector<dsl::ColumnExtractor> cands,
-            core::LearnColumnExtractors(examples, static_cast<int>(j), &pool,
-                                        copts));
-        if (cands.empty()) {
-          return Status::SynthesisFailure(
-              "no column extractor for column " + std::to_string(j) +
-              " of table " + t.name);
-        }
-        p.columns.push_back(cands[0]);
+    LearnedTable learned;
+    for (size_t j = 0; j < example.NumCols(); ++j) {
+      MITRA_ASSIGN_OR_RETURN(
+          std::vector<dsl::ColumnExtractor> cands,
+          core::LearnColumnExtractors(examples, static_cast<int>(j), &pool,
+                                      copts));
+      if (cands.empty()) {
+        return Status::SynthesisFailure("no column extractor for column " +
+                                        std::to_string(j) + " of table " +
+                                        t.name);
       }
-      p.formula = dsl::Dnf::True();
-      dsl::EvalOptions ev = reduced.predicate.eval;
-      ev.governor = &gov;
-      MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                             dsl::EvalProgramNodeTuples(tree, p, ev));
-      // Coverage check: every expected data row must appear among the
-      // projection-only rows (superset semantics, never a wrong subset).
-      std::set<hdt::Row> produced;
-      for (const dsl::NodeTuple& tuple : tuples) {
-        produced.insert(dsl::ProjectData(tree, tuple));
+      learned.program.columns.push_back(cands[0]);
+    }
+    learned.program.formula = dsl::Dnf::True();
+    dsl::EvalOptions ev = reduced.predicate.eval;
+    ev.governor = gov;
+    MITRA_ASSIGN_OR_RETURN(
+        learned.tuples, dsl::EvalProgramNodeTuples(tree, learned.program, ev));
+    // Coverage check: every expected data row must appear among the
+    // projection-only rows (superset semantics, never a wrong subset).
+    std::set<hdt::Row> produced;
+    for (const dsl::NodeTuple& tuple : learned.tuples) {
+      produced.insert(dsl::ProjectData(tree, tuple));
+    }
+    for (const hdt::Row& want : example.rows()) {
+      if (produced.find(want) == produced.end()) {
+        return Status::SynthesisFailure(
+            "projection-only fallback for table " + t.name +
+            " does not cover the example rows");
       }
-      for (const hdt::Row& want : example.rows()) {
-        if (produced.find(want) == produced.end()) {
-          return Status::SynthesisFailure(
-              "projection-only fallback for table " + t.name +
-              " does not cover the example rows");
-        }
-      }
-      Install(t.name,
-              LearnedTable{std::move(p), std::move(tuples),
-                           std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count()});
-      return Status::OK();
-    }();
-    report->learn_seconds +=
+    }
+    return learned;
+  };
+
+  constexpr TableOutcome kRungOutcome[kLadderRungs] = {
+      TableOutcome::kOk, TableOutcome::kDegraded, TableOutcome::kFallback};
+  for (int rung = 0; rung < num_rungs; ++rung) {
+    const core::SynthesisOptions& sopts = rung == 0 ? opts.synthesis : reduced;
+    // One attempt = one fresh governor: a failed rung must not eat into the
+    // next rung's budget, and a poisoned table must not cancel its
+    // siblings.
+    common::ResourceLimits limits = opts.table_limits;
+    if (!limits.has_deadline()) {
+      limits.time_limit_seconds = sopts.time_limit_seconds;
+    }
+    common::Governor gov(limits);
+    auto start = std::chrono::steady_clock::now();
+    Result<LearnedTable> learned =
+        rung < 2 ? synthesize(sopts, &gov, /*keep_result=*/rung == 0)
+                 : project(&gov);
+    const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    report->usage.Accumulate(gov.Usage());
-    return inner;
-  }();
-  if (st.ok()) {
-    report->outcome = TableOutcome::kFallback;
-    report->rung = 2;
-    return Status::OK();
+    out->report.learn_seconds += seconds;
+    out->report.usage.Accumulate(gov.Usage());
+    if (learned.ok()) {
+      learned->seconds = seconds;
+      out->learned = std::move(*learned);
+      out->report.outcome = kRungOutcome[rung];
+      out->report.rung = rung;
+      out->status = Status::OK();
+      return;
+    }
+    out->status = learned.status();
+    out->report.retry_trail.push_back("rung " + std::to_string(rung) + ": " +
+                                      out->status.ToString());
   }
-  report->retry_trail.push_back("rung 2: " + st.ToString());
-  return st;
 }
 
-Result<MigrationReport> Migrator::LearnTolerant(
-    const hdt::Hdt& example_tree,
+Result<MigrationReport> Migrator::LearnTables(
+    const hdt::Hdt& tree,
     const std::map<std::string, hdt::Table>& table_examples,
-    const MigratorOptions& opts) {
+    const MigratorOptions& opts, int num_rungs) {
   MITRA_RETURN_IF_ERROR(schema_.Validate());
   programs_.clear();
   fk_plans_.clear();
   example_tuples_.clear();
   info_.clear();
+  // A full-budget-only run fails fast with the error a sequential loop
+  // would return: the first failing table's in schema order. A ladder run
+  // records each table's failure in the report instead.
+  const bool fail_fast = num_rungs == 1;
 
-  // Structural validation is whole-call: a missing or mis-shaped example
-  // is a caller bug, not a per-table resource failure.
+  // Pass 1, calling thread, schema order: the example checks up to the
+  // first malformed example, then the cache lookups.
+  std::vector<const hdt::Table*> examples;
+  Status malformed;
   for (const TableDef& t : schema_.tables) {
     auto it = table_examples.find(t.name);
     if (it == table_examples.end()) {
-      return Status::InvalidArgument("no example for table " + t.name);
+      malformed = Status::InvalidArgument("no example for table " + t.name);
+      break;
     }
     if (it->second.NumCols() != t.NumDataColumns()) {
-      return Status::InvalidArgument(
+      malformed = Status::InvalidArgument(
           "example for table " + t.name + " has " +
           std::to_string(it->second.NumCols()) + " columns, schema has " +
           std::to_string(t.NumDataColumns()) + " data columns");
+      break;
     }
+    examples.push_back(&it->second);
+  }
+  // A malformed example is a caller bug and fails the whole call. Only a
+  // fail-fast run still learns the tables before it: one of their failures
+  // would come first in schema order.
+  if (!malformed.ok() && !fail_fast) return malformed;
+
+  std::vector<TableAttempt> attempts(examples.size());
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < examples.size(); ++i) {
+    TableAttempt& a = attempts[i];
+    a.report.table = schema_.tables[i].name;
+    // A verified hit is a rung-0 result (only full-budget programs are
+    // ever stored) with no synthesis run at all.
+    Status why;
+    auto start = std::chrono::steady_clock::now();
+    a.learned =
+        LookupCachedProgram(schema_.tables[i], tree, *examples[i], opts, &why);
+    a.report.learn_seconds += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    if (a.learned) {
+      a.report.outcome = TableOutcome::kOk;
+      a.report.rung = 0;
+      a.report.cache_hit = true;
+      continue;
+    }
+    if (!why.ok()) a.report.retry_trail.push_back("cache: " + why.ToString());
+    misses.push_back(i);
   }
 
+  // Pass 2: each miss's ladder, up to num_threads tables at a time, each
+  // with its own synthesis pool. Past the first failure of a fail-fast
+  // run, unclaimed misses are skipped: they cannot change its error.
+  const unsigned threads =
+      opts.synthesis.num_threads == 0
+          ? common::ThreadPool::HardwareThreads()
+          : static_cast<unsigned>(std::max(1, opts.synthesis.num_threads));
+  std::optional<common::ThreadPool> pool;
+  if (threads > 1 && misses.size() > 1) {
+    pool.emplace(static_cast<unsigned>(
+        std::min<size_t>(threads, misses.size())));
+  }
+  (void)common::ParallelForStatus(
+      pool ? &*pool : nullptr, misses.size(), [&](size_t m) -> Status {
+        const size_t i = misses[m];
+        RunLadder(schema_.tables[i], tree, *examples[i], opts, num_rungs,
+                  &attempts[i]);
+        return fail_fast ? attempts[i].status : Status::OK();
+      });
+
+  // Pass 3, calling thread, schema order: installs and rung-0 cache stores
+  // (the only file-system mutations).
   MigrationReport report;
-  report.tables.reserve(schema_.tables.size());
-  for (const TableDef& t : schema_.tables) {
-    TableReport tr;
-    tr.table = t.name;
-    Status st = LearnTableLadder(t, example_tree, table_examples.at(t.name),
-                                 opts, &tr);
-    if (!st.ok()) {
-      tr.outcome = TableOutcome::kFailed;
-      tr.status = st;
+  report.tables.reserve(attempts.size());
+  for (size_t i = 0; i < attempts.size(); ++i) {
+    TableAttempt& a = attempts[i];
+    if (!a.learned) {
+      if (fail_fast) {
+        return Status(a.status.code(), "synthesis failed for table " +
+                                           a.report.table + ": " +
+                                           a.status.message());
+      }
+      a.report.outcome = TableOutcome::kFailed;
+      a.report.status = a.status;
+    } else {
+      Install(a.report.table, std::move(*a.learned));
+      if (a.synthesized) {
+        StoreCachedProgram(tree, *examples[i], opts, *a.synthesized);
+      }
     }
-    report.tables.push_back(std::move(tr));
+    report.tables.push_back(std::move(a.report));
   }
+  MITRA_RETURN_IF_ERROR(malformed);
 
-  // Foreign keys, with cascade skipping: a table whose FK references an
-  // unavailable table is kSkipped, and that skip can cascade further.
-  auto live = [](const TableReport* tr) {
-    return tr != nullptr && tr->outcome != TableOutcome::kFailed &&
-           tr->outcome != TableOutcome::kSkipped;
-  };
+  // Foreign keys, calling thread, with cascade skipping: a table whose FK
+  // references an unavailable table is kSkipped, and that skip can cascade
+  // further. A fail-fast run gets here with every table live and returns
+  // the first failure in schema order.
   std::set<std::string> fk_done;
   bool changed = true;
   while (changed) {
     changed = false;
     for (const TableDef& t : schema_.tables) {
       TableReport* tr = report.Find(t.name);
-      if (!live(tr)) continue;
+      if (!TableIsLive(tr)) continue;
       bool has_fk = false;
       for (size_t c = 0; c < t.columns.size(); ++c) {
         if (t.columns[c].kind != ColumnKind::kForeignKey) continue;
         has_fk = true;
         const std::string& ref = t.columns[c].references;
-        if (!live(report.Find(ref))) {
+        if (!TableIsLive(report.Find(ref))) {
           tr->outcome = TableOutcome::kSkipped;
           tr->status = Status::SynthesisFailure(
               "skipped: referenced table " + ref + " is unavailable");
@@ -917,12 +850,13 @@ Result<MigrationReport> Migrator::LearnTolerant(
           break;
         }
       }
-      if (!live(tr) || !has_fk || fk_done.count(t.name) != 0) continue;
+      if (!TableIsLive(tr) || !has_fk || fk_done.count(t.name) != 0) continue;
       fk_done.insert(t.name);
       common::Governor gov(opts.table_limits);
-      Status st = LearnForeignKeysForTable(t, example_tree, opts, &gov);
+      Status st = LearnForeignKeysForTable(t, tree, opts, &gov);
       tr->usage.Accumulate(gov.Usage());
       if (!st.ok()) {
+        if (fail_fast) return st;
         tr->outcome = TableOutcome::kFailed;
         tr->status = st;
         tr->retry_trail.push_back("fk: " + st.ToString());
@@ -934,22 +868,15 @@ Result<MigrationReport> Migrator::LearnTolerant(
   return report;
 }
 
-Database Migrator::ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
+Database Migrator::ExecuteTolerant(const hdt::Hdt& doc, int doc_index,
                                    MigrationReport* report,
                                    const MigratorOptions& opts) const {
   MigrationReport scratch;
   if (report == nullptr) report = &scratch;
 
   Database db;
-  // Cross-table memoization as in Execute(), but the cache is keyed by
-  // printed extractor only — an entry from one tree is garbage on
-  // another — so each document gets its own cache, shared across tables.
-  std::vector<std::unique_ptr<core::ColumnCache>> doc_caches;
-  doc_caches.reserve(docs.size());
-  for (size_t d = 0; d < docs.size(); ++d) {
-    doc_caches.push_back(std::make_unique<core::ColumnCache>());
-  }
-
+  // Cross-table memoization as in Execute().
+  core::ColumnCache column_cache;
   for (const TableDef& t : schema_.tables) {
     TableReport* tr = report->Find(t.name);
     if (tr == nullptr) {
@@ -968,10 +895,7 @@ Database Migrator::ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
       report->tables.push_back(std::move(fresh));
       tr = &report->tables.back();
     }
-    if (tr->outcome == TableOutcome::kFailed ||
-        tr->outcome == TableOutcome::kSkipped) {
-      continue;
-    }
+    if (!TableIsLive(tr)) continue;
     if (programs_.count(t.name) == 0) {
       tr->outcome = TableOutcome::kSkipped;
       tr->status = Status::InvalidArgument("Learn() produced no program");
@@ -982,68 +906,25 @@ Database Migrator::ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
     common::Governor gov(opts.table_limits);
     core::ExecuteOptions exec_opts = opts.execute;
     exec_opts.governor = &gov;
-
-    auto start = std::chrono::steady_clock::now();
-    Status st;
-    hdt::Table merged;
-    bool first = true;
-    for (size_t d = 0; d < docs.size(); ++d) {
-      if (opts.execute.column_cache == nullptr) {
-        exec_opts.column_cache = doc_caches[d].get();
-      }
-      auto built = BuildTable(t, *docs[d],
-                              opts.doc_index_base + static_cast<int>(d),
-                              exec_opts);
-      if (!built.ok()) {
-        st = built.status();
-        break;
-      }
-      if (first) {
-        merged = std::move(*built);
-        first = false;
-      } else {
-        for (const hdt::Row& r : built->rows()) {
-          st = merged.AppendRow(r);
-          if (!st.ok()) break;
-        }
-        if (!st.ok()) break;
-      }
+    if (exec_opts.column_cache == nullptr) {
+      exec_opts.column_cache = &column_cache;
     }
+    auto start = std::chrono::steady_clock::now();
+    Result<hdt::Table> built = BuildTable(t, doc, doc_index, exec_opts);
     tr->execute_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     tr->usage.Accumulate(gov.Usage());
-    if (!st.ok()) {
+    if (!built.ok()) {
       tr->outcome = TableOutcome::kFailed;
-      tr->status = st;
-      tr->retry_trail.push_back("execute: " + st.ToString());
+      tr->status = built.status();
+      tr->retry_trail.push_back("execute: " + built.status().ToString());
       continue;
     }
-    tr->rows_emitted = merged.NumRows();
-    db.tables.emplace(t.name, std::move(merged));
+    tr->rows_emitted += built->NumRows();
+    db.tables.emplace(t.name, std::move(*built));
   }
   return db;
-}
-
-Result<Database> Migrator::ExecuteAll(const std::vector<const hdt::Hdt*>& docs,
-                                      const MigratorOptions& opts) const {
-  Database merged;
-  for (size_t d = 0; d < docs.size(); ++d) {
-    MITRA_ASSIGN_OR_RETURN(
-        Database part,
-        Execute(*docs[d], opts.doc_index_base + static_cast<int>(d), opts));
-    for (auto& [name, table] : part.tables) {
-      auto it = merged.tables.find(name);
-      if (it == merged.tables.end()) {
-        merged.tables.emplace(name, std::move(table));
-      } else {
-        for (const hdt::Row& r : table.rows()) {
-          MITRA_RETURN_IF_ERROR(it->second.AppendRow(r));
-        }
-      }
-    }
-  }
-  return merged;
 }
 
 }  // namespace mitra::db

@@ -47,9 +47,9 @@ struct ForeignKeyPlan {
 struct TableSynthesisInfo {
   std::string table;
   /// Wall time of the table's synthesis (or of its cache lookup and
-  /// re-verification). Migrator::Learn synthesizes several tables at once
-  /// when num_threads > 1, so this is wall time under contention, not
-  /// the table's time alone.
+  /// re-verification). The learning paths synthesize several tables at
+  /// once when num_threads > 1, so this is wall time under contention,
+  /// not the table's time alone.
   double synthesis_seconds = 0.0;
   dsl::Program program;
 };
@@ -93,11 +93,13 @@ struct MigratorOptions {
   /// Node-extractor search depth for foreign-key learning.
   int fk_max_depth = 4;
   core::ExecuteOptions execute;
-  /// Per-table resource budgets for the tolerant paths (LearnTolerant /
-  /// ExecuteTolerant): every table gets a *fresh* Governor per ladder
-  /// rung, so one runaway or poisoned table exhausts its own budget
-  /// without starving the others. When no deadline is set here, the
-  /// synthesis time limit is used as the per-rung deadline.
+  /// Per-table resource budgets for every learning path (Learn,
+  /// LearnTolerant) and for ExecuteTolerant: each table gets a *fresh*
+  /// Governor per ladder rung, per foreign-key search and per execution,
+  /// so one runaway or poisoned table exhausts its own budget without
+  /// starving the others. When no deadline is set here, the synthesis time
+  /// limit is each rung's deadline. The Migrator reads no
+  /// `synthesis.limits` and sets `synthesis.governor` itself.
   common::ResourceLimits table_limits;
   /// Optional program cache (not owned; must outlive the call). When set,
   /// Learn/LearnTolerant consult it before synthesizing each table and
@@ -106,12 +108,6 @@ struct MigratorOptions {
   /// must not shadow the full-budget program a later, better-budgeted run
   /// would find.
   ProgramCache* program_cache = nullptr;
-  /// Index assigned to docs[0] by ExecuteTolerant/ExecuteAll (subsequent
-  /// documents count up from it). Generated keys embed the document
-  /// index, so a batch pipeline migrating documents one call at a time
-  /// passes each document's fleet position here to emit keys identical
-  /// to a single ExecuteAll over the whole fleet.
-  int doc_index_base = 0;
 };
 
 /// Outcome of migrating one table under the degradation ladder.
@@ -148,6 +144,10 @@ struct TableReport {
   common::BudgetUsage usage;
 };
 
+/// True when `report` names a table that still yields output: neither
+/// kFailed nor kSkipped. A null report (no such table) is not live.
+bool TableIsLive(const TableReport* report);
+
 /// Structured result of a tolerant migration (ISSUE 4): per-table status,
 /// timings, budget consumption, and retry trail.
 struct MigrationReport {
@@ -177,11 +177,15 @@ class Migrator {
   /// Learns one program per table from a single database example: a
   /// document plus, per table, the expected *data columns* (key columns
   /// are generated, so they do not appear in examples). All tables must
-  /// be present. Tables the program cache misses are synthesized up to
-  /// `opts.synthesis.num_threads` at a time; cache lookups and stores,
-  /// info() and foreign-key learning stay on the calling thread in schema
-  /// order, and a failure returns the first failing table's error in
-  /// schema order, so every thread count learns the same migration.
+  /// be present. Each table gets the full-budget rung only, and the call
+  /// fails fast: the error is the first failing table's in schema order (a
+  /// malformed example counts where it stands), so every thread count
+  /// learns the same migration or returns the same error.
+  ///
+  /// Learn and LearnTolerant share one implementation. Tables the program cache
+  /// misses are learned up to `opts.synthesis.num_threads` at a time;
+  /// the example checks, cache lookups and stores, info() and foreign-key
+  /// learning stay on the calling thread in schema order.
   Status Learn(const hdt::Hdt& example_tree,
                const std::map<std::string, hdt::Table>& table_examples,
                const MigratorOptions& opts = {});
@@ -190,10 +194,6 @@ class Migrator {
   /// `doc_index` disambiguates keys across multi-document datasets.
   Result<Database> Execute(const hdt::Hdt& doc, int doc_index = 0,
                            const MigratorOptions& opts = {}) const;
-
-  /// Migrates a set of documents into one database.
-  Result<Database> ExecuteAll(const std::vector<const hdt::Hdt*>& docs,
-                              const MigratorOptions& opts = {}) const;
 
   /// Fault-tolerant Learn with per-table isolation and a degradation
   /// ladder: full budgets → reduced caps → projection-only fallback →
@@ -206,14 +206,14 @@ class Migrator {
       const std::map<std::string, hdt::Table>& table_examples,
       const MigratorOptions& opts = {});
 
-  /// Fault-tolerant Execute over a document set: each table runs under a
+  /// Fault-tolerant Execute of one document: each table runs under a
   /// fresh per-table governor; a failing table is marked kFailed in
   /// `report` (with its cause and an "execute: …" trail entry) while the
   /// remaining tables are still emitted, bit-identical to a run without
-  /// the failing table. `report` entries are matched by table name and
-  /// created when missing (e.g. after a strict Learn); pass nullptr to
-  /// discard the per-table records.
-  Database ExecuteTolerant(const std::vector<const hdt::Hdt*>& docs,
+  /// the failing table. `doc_index` is Execute's. `report` entries are
+  /// matched by table name and created when missing (e.g. after a strict
+  /// Learn); pass nullptr to discard the per-table records.
+  Database ExecuteTolerant(const hdt::Hdt& doc, int doc_index,
                            MigrationReport* report,
                            const MigratorOptions& opts = {}) const;
 
@@ -258,17 +258,22 @@ class Migrator {
   void StoreCachedProgram(const hdt::Hdt& tree, const hdt::Table& example,
                           const MigratorOptions& opts,
                           const core::SynthesisResult& result);
-  Status LearnForeignKeys(const hdt::Hdt& tree,
-                          const MigratorOptions& opts);
   Status LearnForeignKeysForTable(const TableDef& t, const hdt::Hdt& tree,
                                   const MigratorOptions& opts,
                                   common::Governor* gov);
-  /// Runs the degradation ladder for one table; on success installs the
-  /// program/example tuples and fills outcome/rung, on failure returns
-  /// the last rung's error (the trail holds the earlier ones).
-  Status LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
-                          const hdt::Table& example,
-                          const MigratorOptions& opts, TableReport* report);
+  struct TableAttempt;
+  /// The one learning routine behind Learn (num_rungs = 1, fail fast) and
+  /// LearnTolerant (every rung, failures recorded in the report).
+  Result<MigrationReport> LearnTables(
+      const hdt::Hdt& tree,
+      const std::map<std::string, hdt::Table>& table_examples,
+      const MigratorOptions& opts, int num_rungs);
+  /// Walks rungs [0, num_rungs) of the degradation ladder for one table
+  /// until one learns it. Writes only `*out`, so tables can run
+  /// concurrently.
+  void RunLadder(const TableDef& t, const hdt::Hdt& tree,
+                 const hdt::Table& example, const MigratorOptions& opts,
+                 int num_rungs, TableAttempt* out) const;
   /// Executes one table's program on one document, materializing keys.
   Result<hdt::Table> BuildTable(const TableDef& t, const hdt::Hdt& doc,
                                 int doc_index,

@@ -22,8 +22,14 @@ using dsl::Program;
 
 constexpr char kRuntimeMarker[] = "// --- mitra runtime ---";
 
+/// A single-quoted JS string literal: JSON escaping plus the quote.
 std::string JsStr(const std::string& s) {
-  return "'" + EscapeJsonString(s) + "'";
+  std::string out = "'";
+  for (char c : EscapeJsonString(s)) {
+    if (c == '\'') out += '\\';
+    out += c;
+  }
+  return out + "'";
 }
 
 std::string ColumnExpr(const ColumnExtractor& pi) {

@@ -111,11 +111,6 @@ class BatchHasher {
   std::uint64_t h2_ = 1469598103934665603ULL;
 };
 
-bool TableIsLive(const db::TableReport* tr) {
-  return tr != nullptr && tr->outcome != db::TableOutcome::kFailed &&
-         tr->outcome != db::TableOutcome::kSkipped;
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -519,7 +514,7 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
 
   std::vector<std::string> live;
   for (const db::TableDef& t : schema.tables) {
-    if (TableIsLive(report.learn.Find(t.name))) live.push_back(t.name);
+    if (db::TableIsLive(report.learn.Find(t.name))) live.push_back(t.name);
   }
 
   // ---- Journal: resume completed documents, honor quarantine. ----
@@ -689,14 +684,11 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
     init.table_limits = mopts.table_limits;
     init.retry = opts.retry;
     for (const std::string& name : live) {
-      const db::TableReport* tr = report.learn.Find(name);
       WorkerInitTable t;
       t.name = name;
       for (const db::TableDef& td : schema.tables) {
         if (td.name == name) t.num_cols = td.columns.size();
       }
-      t.outcome = static_cast<int>(tr->outcome);
-      t.rung = tr->rung;
       for (const db::TableSynthesisInfo& si : migrator.info()) {
         if (si.table == name) t.program = dsl::ToString(si.program);
       }

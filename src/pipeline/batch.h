@@ -23,9 +23,9 @@
 /// Determinism contract: common::WriteCsv emits each row independently
 /// with a trailing '\n', so concatenating the per-document shard files in
 /// fleet order is byte-equal to WriteCsv over the sequentially merged
-/// rows — regardless of thread count or completion order. Document keys
-/// embed the fleet index (MigratorOptions::doc_index_base), so per-doc
-/// execution emits keys identical to one ExecuteAll over the whole fleet.
+/// rows — regardless of thread count or completion order. Each document
+/// executes with its fleet index as the `doc_index` its generated keys
+/// embed, so the keys are those of one sequential run over the fleet.
 ///
 /// Resumability & crash consistency (ISSUE 9): every output — shard
 /// files, merged CSVs, migration.sql, the journal itself — goes through
@@ -88,7 +88,7 @@ Result<BatchManifest> ParseManifestText(std::string_view text,
 
 struct BatchOptions {
   /// Synthesis/execution budgets; `program_cache` here is set by RunBatch
-  /// from `cache` below, and `doc_index_base` per document.
+  /// from `cache` below.
   db::MigratorOptions migrator;
   /// Fan-out pool; null = sequential in fleet order.
   common::ThreadPool* pool = nullptr;

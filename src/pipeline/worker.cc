@@ -100,11 +100,6 @@ bool HasSuffix(const std::string& s, std::string_view suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool ReportedLive(const db::TableReport* tr) {
-  return tr != nullptr && tr->outcome != db::TableOutcome::kFailed &&
-         tr->outcome != db::TableOutcome::kSkipped;
-}
-
 /// Serializes frame writes: the heartbeat probe fires from governed
 /// worker threads concurrently with the main loop's result writes, and a
 /// torn frame would poison the supervisor's stream. A failed write
@@ -216,8 +211,6 @@ std::string EncodeWorkerInit(const WorkerInit& init) {
   for (const WorkerInitTable& t : init.tables) {
     w.Str(t.name);
     w.U64(t.num_cols);
-    w.I64(t.outcome);
-    w.I64(t.rung);
     w.Str(t.program);
   }
   return w.Take();
@@ -252,8 +245,6 @@ Result<WorkerInit> DecodeWorkerInit(std::string_view payload) {
     WorkerInitTable t;
     t.name = r.Str();
     t.num_cols = r.U64();
-    t.outcome = static_cast<int>(r.I64());
-    t.rung = static_cast<int>(r.I64());
     t.program = r.Str();
     if (!r.ok()) {
       return Status::InvalidArgument("worker init: truncated table entry");
@@ -320,19 +311,18 @@ FleetDocResult ExecuteFleetDocument(const FleetExecContext& ctx, size_t index,
     MITRA_ASSIGN_OR_RETURN(std::string text, fs->ReadFile(path));
     phase("doc/parse");
     MITRA_ASSIGN_OR_RETURN(hdt::Hdt doc, ParseFleetDoc(path, text));
-    db::MigratorOptions dopts = ctx.migrator_options;
-    // Fleet position, so generated keys match a single sequential
-    // ExecuteAll over the whole fleet.
-    dopts.doc_index_base = static_cast<int>(index);
     db::MigrationReport exec = *ctx.learn;
     phase("doc/execute");
-    db::Database db = ctx.migrator->ExecuteTolerant({&doc}, &exec, dopts);
+    // The fleet position is the document index, so generated keys match
+    // one sequential run over the whole fleet.
+    db::Database db = ctx.migrator->ExecuteTolerant(
+        doc, static_cast<int>(index), &exec, ctx.migrator_options);
     // All-or-nothing per document: a document whose execution failed for
     // *any* live table contributes no shards at all — a partial document
     // would make the final tables mutually inconsistent.
     for (const std::string& name : *ctx.live) {
       const db::TableReport* tr = exec.Find(name);
-      if (!ReportedLive(tr)) {
+      if (!db::TableIsLive(tr)) {
         return tr != nullptr && !tr->status.ok()
                    ? tr->status
                    : Status::Internal("table " + name +
@@ -403,10 +393,10 @@ int WorkerMain(const WorkerMainOptions& opts) {
                                           db::ColumnKind::kData, ""});
     }
     schema.tables.push_back(std::move(def));
+    // The supervisor ships live tables only.
     db::TableReport tr;
     tr.table = t.name;
-    tr.outcome = static_cast<db::TableOutcome>(t.outcome);
-    tr.rung = t.rung;
+    tr.outcome = db::TableOutcome::kOk;
     learn.tables.push_back(std::move(tr));
     live.push_back(t.name);
   }

@@ -21,12 +21,13 @@
 ///
 ///   supervisor -> worker
 ///     'I' init    magic + DSL version + outdir + retry options + table
-///                 budgets + per-live-table {name, columns, outcome,
-///                 rung, program in λ-syntax} — everything needed to
-///                 rebuild execution state without re-learning (workers
-///                 must not re-synthesize: ladder budgets are wall-clock
-///                 sensitive and could degrade differently per worker,
-///                 breaking output determinism)
+///                 budgets + per-live-table {name, columns, program in
+///                 λ-syntax} — everything needed to rebuild execution
+///                 state without re-learning (workers must not
+///                 re-synthesize: ladder budgets are wall-clock sensitive
+///                 and could degrade differently per worker, breaking
+///                 output determinism). Only live tables are shipped, so
+///                 the worker marks each one kOk.
 ///     'A' assign  {fleet index, document path}
 ///
 ///   worker -> supervisor
@@ -52,14 +53,12 @@ inline constexpr char kFrameResult = 'R';
 /// Wire-format version, checked by the worker before anything else: a
 /// supervisor and worker from different builds must fail loudly, not
 /// misexecute.
-inline constexpr std::string_view kWorkerIpcMagic = "mitra-worker-ipc-1";
+inline constexpr std::string_view kWorkerIpcMagic = "mitra-worker-ipc-2";
 
 /// One live table as shipped to workers.
 struct WorkerInitTable {
   std::string name;
   std::uint64_t num_cols = 0;
-  int outcome = 0;  ///< db::TableOutcome as int
-  int rung = 0;
   std::string program;  ///< dsl::ToString(learned program)
 };
 
@@ -125,7 +124,7 @@ struct FleetDocResult {
 };
 
 /// Executes one document end to end — read, parse, ExecuteTolerant with
-/// the fleet index as doc_index_base, all-or-nothing liveness check,
+/// the fleet index as doc_index, all-or-nothing liveness check,
 /// atomic shard writes — under the per-document retry policy (seed mixed
 /// with the index, so schedules are deterministic at any worker count).
 /// This is THE per-document routine: both isolation modes call it, which

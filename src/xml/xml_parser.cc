@@ -132,8 +132,10 @@ class Parser {
   }
 
   Result<std::string> ParseAttrValue() {
-    char quote = Peek();
-    if (quote != '"' && quote != '\'') return Err("expected quoted value");
+    if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
+      return Err("expected quoted value");
+    }
+    const char quote = Peek();
     Advance();
     size_t start = pos_;
     while (!AtEnd() && Peek() != quote) Advance();

@@ -120,8 +120,15 @@ std::string AtomXPath(const Atom& a) {
   std::string rhs;
   bool identity = false;
   if (a.rhs_is_const) {
+    // XPath 1.0 literals have no escapes, so a constant holding a single
+    // quote is delimited by double quotes (one holding both would need
+    // concat()). The test sits in a double-quoted attribute, so the
+    // literal is XML-escaped.
+    const char quote =
+        a.rhs_const.find('\'') == std::string::npos ? '\'' : '"';
     auto num = mitra::ParseNumber(a.rhs_const);
-    rhs = num ? a.rhs_const : "'" + a.rhs_const + "'";
+    rhs = num ? a.rhs_const
+              : EscapeAttribute(quote + a.rhs_const + quote);
   } else {
     rhs = NodeXPath(VarName(a.rhs_col), a.rhs_path);
     // Node-identity comparisons (internal nodes under `=`) require

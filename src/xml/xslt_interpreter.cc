@@ -170,10 +170,10 @@ class XPath {
       if (inner.nodes.empty()) return Value::Str("");
       return Value::Str("id" + std::to_string(inner.nodes.front()));
     }
-    if (!AtEnd() && in_[pos_] == '\'') {
-      ++pos_;
+    if (!AtEnd() && (in_[pos_] == '\'' || in_[pos_] == '"')) {
+      const char quote = in_[pos_++];
       size_t start = pos_;
-      while (!AtEnd() && in_[pos_] != '\'') ++pos_;
+      while (!AtEnd() && in_[pos_] != quote) ++pos_;
       if (AtEnd()) return Err("unterminated string literal");
       Value v = Value::Str(std::string(in_.substr(start, pos_ - start)));
       ++pos_;

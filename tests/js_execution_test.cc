@@ -61,6 +61,35 @@ std::vector<hdt::Row> ParseRowsJson(const std::string& text) {
   return rows;
 }
 
+/// Writes `program`'s generated module, `doc_text` and a main script
+/// under `name` into the test temp dir, runs the script under Node and
+/// returns its stdout: the migrated rows as JSON.
+std::string RunGeneratedJs(const dsl::Program& program,
+                           const std::string& doc_text,
+                           const std::string& name) {
+  std::string dir = ::testing::TempDir();
+  std::string prog_path = dir + "/mitra_prog_" + name + ".js";
+  std::string doc_path = dir + "/mitra_doc_" + name + ".json";
+  std::string main_path = dir + "/mitra_main_" + name + ".js";
+  WriteFileOrDie(prog_path, json::GenerateJavaScript(program));
+  WriteFileOrDie(doc_path, doc_text);
+  WriteFileOrDie(main_path,
+                 "const { migrate } = require('" + prog_path +
+                     "');\n"
+                     "const fs = require('fs');\n"
+                     "const doc = JSON.parse(fs.readFileSync(process.argv[2],"
+                     " 'utf8'));\n"
+                     "console.log(JSON.stringify(migrate(doc).map(r => "
+                     "r.map(String))));\n");
+  return RunNode(main_path, doc_path);
+}
+
+std::vector<hdt::Row> SortedSet(std::vector<hdt::Row> rows) {
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
 class JsExecutionTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(JsExecutionTest, NodeAgreesWithNativeExecutor) {
@@ -77,34 +106,15 @@ TEST_P(JsExecutionTest, NodeAgreesWithNativeExecutor) {
   auto result = core::LearnTransformation(tree, table);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  std::string dir = ::testing::TempDir();
-  std::string prog_path = dir + "/mitra_prog_" + task->id + ".js";
-  std::string doc_path = dir + "/mitra_doc_" + task->id + ".json";
-  std::string driver_path = dir + "/mitra_drv_" + task->id + ".js";
-  WriteFileOrDie(prog_path, json::GenerateJavaScript(result->program));
-  WriteFileOrDie(doc_path, task->document);
-  WriteFileOrDie(driver_path,
-                 "const { migrate } = require('" + prog_path +
-                     "');\n"
-                     "const fs = require('fs');\n"
-                     "const doc = JSON.parse(fs.readFileSync(process.argv[2],"
-                     " 'utf8'));\n"
-                     "console.log(JSON.stringify(migrate(doc).map(r => "
-                     "r.map(String))));\n");
-
-  std::string output = RunNode(driver_path, doc_path);
+  std::string output =
+      RunGeneratedJs(result->program, task->document, task->id);
   ASSERT_FALSE(output.empty()) << "node produced no output";
   std::vector<hdt::Row> js_rows = ParseRowsJson(output);
 
   auto native = core::ExecuteOptimized(tree, result->program);
   ASSERT_TRUE(native.ok());
 
-  auto as_sorted_set = [](std::vector<hdt::Row> rows) {
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    return rows;
-  };
-  EXPECT_EQ(as_sorted_set(js_rows), as_sorted_set(native->rows()))
+  EXPECT_EQ(SortedSet(js_rows), SortedSet(native->rows()))
       << "generated JS disagrees with native executor\nJS output: "
       << output;
 }
@@ -124,6 +134,40 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(JsCodegen, QuotedConstantsAgreeWithNativeExecutor) {
+  if (!NodeAvailable()) GTEST_SKIP() << "node not installed";
+  // Predicate constants holding a quote, a backslash or markup must come
+  // out as valid string literals in the generated module.
+  const std::string doc = R"({"people": [
+    {"name": "O'Brien"}, {"name": "AT&T"}, {"name": "say \"hi\""},
+    {"name": "back\\slash"}, {"name": "Smith"}]})";
+  hdt::Hdt tree = test::ParseJsonOrDie(doc);
+  int n = 0;
+  for (const char* constant :
+       {"O'Brien", "AT&T", "say \"hi\"", "back\\slash"}) {
+    dsl::Program p;
+    dsl::ColumnExtractor names;
+    names.steps.push_back({dsl::ColOp::kDescendants, "name", 0});
+    p.columns = {names};
+    dsl::Atom atom;
+    atom.lhs_col = 0;
+    atom.op = dsl::CmpOp::kEq;
+    atom.rhs_is_const = true;
+    atom.rhs_const = constant;
+    p.atoms = {atom};
+    p.formula.clauses = {{{0, false}}};
+
+    std::string output =
+        RunGeneratedJs(p, doc, "quoted_" + std::to_string(n++));
+    ASSERT_FALSE(output.empty()) << "node rejected the module for " << constant;
+    auto native = core::ExecuteOptimized(tree, p);
+    ASSERT_TRUE(native.ok());
+    ASSERT_EQ(native->rows(), std::vector<hdt::Row>{{constant}});
+    EXPECT_EQ(SortedSet(ParseRowsJson(output)), SortedSet(native->rows()))
+        << constant << "\nJS output: " << output;
+  }
+}
 
 }  // namespace
 }  // namespace mitra

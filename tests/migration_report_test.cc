@@ -72,7 +72,7 @@ TEST(MigrationReport, AllTablesOkOnHealthyInput) {
   }
 
   // Tolerant execution matches the strict path bit-for-bit.
-  Database tolerant = migrator.ExecuteTolerant({&example}, &*report);
+  Database tolerant = migrator.ExecuteTolerant(example, 0, &*report);
   Migrator strict(PubSchema());
   ASSERT_TRUE(strict.Learn(example, GoodExamples()).ok());
   auto sdb = strict.Execute(example);
@@ -121,7 +121,7 @@ TEST(MigrationReport, PoisonedTableIsIsolatedAndCascadesOverFks) {
 
   // Healthy tables come out bit-identical to a migration that never saw
   // the poisoned table.
-  Database got = migrator.ExecuteTolerant({&example}, &*report);
+  Database got = migrator.ExecuteTolerant(example, 0, &*report);
   EXPECT_EQ(got.tables.count("journal"), 0u);
   Migrator clean(PubSchema());
   ASSERT_TRUE(clean.Learn(example, GoodExamples()).ok());
@@ -156,7 +156,7 @@ TEST(MigrationReport, FkToFailedTableIsSkipped) {
   EXPECT_EQ(report->Find("dependent")->outcome, TableOutcome::kSkipped);
   EXPECT_EQ(report->num_failed(), 2u);
 
-  Database db = migrator.ExecuteTolerant({&example}, &*report);
+  Database db = migrator.ExecuteTolerant(example, 0, &*report);
   EXPECT_TRUE(db.tables.empty());
 }
 
@@ -189,7 +189,7 @@ TEST(MigrationReport, ToJsonCarriesTheReport) {
   Migrator migrator(PubSchema());
   auto report = migrator.LearnTolerant(example, GoodExamples());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  migrator.ExecuteTolerant({&example}, &*report);
+  migrator.ExecuteTolerant(example, 0, &*report);
 
   std::string json = report->ToJson();
   EXPECT_NE(json.find("\"complete\":true"), std::string::npos) << json;
@@ -221,7 +221,7 @@ TEST(MigrationReport, ExecuteFailureIsRecordedPerTable) {
 
   MigratorOptions starve;
   starve.table_limits.max_rows = 1;
-  Database db = migrator.ExecuteTolerant({&example}, &*report, starve);
+  Database db = migrator.ExecuteTolerant(example, 0, &*report, starve);
   EXPECT_TRUE(db.tables.empty());
   for (const TableReport& t : report->tables) {
     EXPECT_EQ(t.outcome, TableOutcome::kFailed) << t.table;

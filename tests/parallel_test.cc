@@ -25,8 +25,8 @@
 /// synthesis returns the same program and execution the same tuple
 /// sequence as the sequential run. These tests check the ThreadPool
 /// primitive itself, then the contract end-to-end over the full corpus
-/// and over Migrator::Learn, which synthesizes a schema's tables
-/// concurrently.
+/// and over Migrator::Learn and LearnTolerant, which learn a schema's
+/// tables concurrently.
 
 namespace mitra {
 namespace {
@@ -313,6 +313,112 @@ TEST(ParallelMigratorLearn, CacheStoresRunInSchemaOrderOnTheCallingThread) {
     EXPECT_EQ(cache.stored, want) << "threads=" << threads;
     for (const std::thread::id& id : cache.threads) {
       EXPECT_EQ(id, std::this_thread::get_id()) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelMigratorLearn, TolerantMatchesStrictOnTable2Schemas) {
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt example = ParseDatasetDoc(*spec, spec->example_document);
+    hdt::Hdt doc = ParseDatasetDoc(*spec, spec->generate(30, 7));
+    std::map<std::string, hdt::Table> examples = DatasetExamples(*spec);
+    db::Migrator strict(spec->schema);
+    Status st = strict.Learn(example, examples, LearnOptions(1));
+    ASSERT_TRUE(st.ok()) << spec->name << ": " << st.ToString();
+    const std::string want = DescribeMigration(strict, doc);
+    for (int threads : {1, 8}) {
+      db::Migrator m(spec->schema);
+      auto report = m.LearnTolerant(example, examples, LearnOptions(threads));
+      ASSERT_TRUE(report.ok())
+          << spec->name << ": " << report.status().ToString();
+      ASSERT_EQ(report->tables.size(), spec->schema.tables.size());
+      for (const db::TableReport& t : report->tables) {
+        EXPECT_EQ(t.outcome, db::TableOutcome::kOk)
+            << spec->name << "." << t.table << " threads=" << threads << ": "
+            << t.status.ToString();
+        EXPECT_EQ(t.rung, 0) << spec->name << "." << t.table;
+      }
+      EXPECT_EQ(DescribeMigration(m, doc), want)
+          << spec->name << " threads=" << threads;
+    }
+  }
+}
+
+/// What a tolerant report determines apart from timings and budget usage:
+/// per table, its outcome, rung, status and retry-trail length.
+std::string DescribeReport(const db::MigrationReport& report) {
+  std::string out;
+  for (const db::TableReport& t : report.tables) {
+    out += t.table + " " + db::TableOutcomeName(t.outcome) +
+           " rung=" + std::to_string(t.rung) +
+           " trail=" + std::to_string(t.retry_trail.size()) + " " +
+           t.status.ToString() + "\n";
+  }
+  return out;
+}
+
+TEST(ParallelMigratorLearn, TolerantFailuresIdenticalAcrossThreadCounts) {
+  hdt::Hdt tree = ParseXmlOrDie(R"(
+<corpus>
+  <paper key="p1"><title>T1</title><year>2001</year>
+    <author><name>A</name></author>
+    <author><name>B</name></author>
+  </paper>
+  <paper key="p2"><title>T2</title><year>2002</year>
+    <author><name>C</name></author>
+  </paper>
+</corpus>
+)");
+  // The failure scenarios of migration_report_test: a poisoned table
+  // (its example values occur nowhere in the document, so every rung
+  // fails) beside healthy tables with foreign keys, and a foreign key to
+  // such a table, which is skipped.
+  db::DatabaseSchema poisoned;
+  poisoned.tables = {
+      {"papers",
+       {{"pid", db::ColumnKind::kPrimaryKey, ""},
+        {"title", db::ColumnKind::kData, ""},
+        {"year", db::ColumnKind::kData, ""}}},
+      {"authorship",
+       {{"aid", db::ColumnKind::kPrimaryKey, ""},
+        {"name", db::ColumnKind::kData, ""},
+        {"paper", db::ColumnKind::kForeignKey, "papers"}}},
+      {"journal", {{"jname", db::ColumnKind::kData, ""}}},
+      {"issue",
+       {{"iid", db::ColumnKind::kData, ""},
+        {"jref", db::ColumnKind::kForeignKey, "papers"}}}};
+  std::map<std::string, hdt::Table> poisoned_examples{
+      {"papers", MakeTable({{"T1", "2001"}, {"T2", "2002"}})},
+      {"authorship", MakeTable({{"A"}, {"B"}, {"C"}})},
+      {"journal", MakeTable({{"NOT-IN-DOCUMENT"}})},
+      {"issue", MakeTable({{"T1"}, {"T2"}})}};
+  db::DatabaseSchema cascade;
+  cascade.tables = {
+      {"broken",
+       {{"bid", db::ColumnKind::kPrimaryKey, ""},
+        {"x", db::ColumnKind::kData, ""}}},
+      {"dependent",
+       {{"name", db::ColumnKind::kData, ""},
+        {"ref", db::ColumnKind::kForeignKey, "broken"}}}};
+  std::map<std::string, hdt::Table> cascade_examples{
+      {"broken", MakeTable({{"NOT-IN-DOCUMENT"}})},
+      {"dependent", MakeTable({{"A"}, {"B"}, {"C"}})}};
+
+  for (const auto& [schema, examples] :
+       {std::pair{&poisoned, &poisoned_examples},
+        std::pair{&cascade, &cascade_examples}}) {
+    std::optional<std::string> base;
+    for (int threads : {1, 8}) {
+      db::Migrator m(*schema);
+      auto report = m.LearnTolerant(tree, *examples, LearnOptions(threads));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_FALSE(report->complete());
+      std::string got = DescribeReport(*report);
+      if (!base) {
+        base = std::move(got);
+      } else {
+        EXPECT_EQ(got, *base) << "threads=" << threads;
+      }
     }
   }
 }

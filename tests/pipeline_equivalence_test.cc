@@ -65,9 +65,10 @@ Fleet InstallFleet(common::MemoryFileSystem* fs, const std::string& example,
   return fleet;
 }
 
-/// The sequential reference: learn from the example, ExecuteTolerant over
-/// the whole fleet in one call, WriteCsv per table. This is the byte
-/// string every batch configuration must reproduce.
+/// The sequential reference: learn from the example, one ExecuteTolerant
+/// per document in fleet order with its fleet index, WriteCsv per table
+/// concatenated. This is the byte string every batch configuration must
+/// reproduce.
 std::map<std::string, std::string> SequentialReference(const Fleet& fleet) {
   auto example = xml::ParseXml(fleet.example_text);
   EXPECT_TRUE(example.ok()) << example.status().ToString();
@@ -93,19 +94,15 @@ std::map<std::string, std::string> SequentialReference(const Fleet& fleet) {
   auto report = migrator.LearnTolerant(*example, examples);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
-  std::vector<hdt::Hdt> docs;
-  docs.reserve(fleet.doc_texts.size());
-  for (const std::string& text : fleet.doc_texts) {
-    auto doc = xml::ParseXml(text);
-    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-    docs.push_back(std::move(*doc));
-  }
-  std::vector<const hdt::Hdt*> ptrs;
-  for (const hdt::Hdt& doc : docs) ptrs.push_back(&doc);
-  db::Database out = migrator.ExecuteTolerant(ptrs, &*report);
   std::map<std::string, std::string> result;
-  for (const auto& [name, table] : out.tables) {
-    result[name] = WriteCsv(table.rows());
+  for (size_t d = 0; d < fleet.doc_texts.size(); ++d) {
+    auto doc = xml::ParseXml(fleet.doc_texts[d]);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    db::Database out =
+        migrator.ExecuteTolerant(*doc, static_cast<int>(d), &*report);
+    for (const auto& [name, table] : out.tables) {
+      result[name] += WriteCsv(table.rows());
+    }
   }
   return result;
 }

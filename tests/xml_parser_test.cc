@@ -124,6 +124,7 @@ TEST(XmlParser, EmptyDocumentIsError) {
 TEST(XmlParser, BadAttributeIsError) {
   EXPECT_FALSE(ParseXml("<a v=unquoted/>").ok());
   EXPECT_FALSE(ParseXml("<a v></a>").ok());
+  EXPECT_FALSE(ParseXml("<a b=").ok());  // input ends where the value starts
 }
 
 TEST(XmlParser, UnknownEntityIsError) {

@@ -97,6 +97,41 @@ TEST(XsltInterpreter, MotivatingExampleEndToEnd) {
   EXPECT_EQ(got.rows(), table.rows());
 }
 
+TEST(XsltInterpreter, QuotedConstantsAgreeWithNativeExecutor) {
+  // Predicate constants holding a quote or markup must survive both the
+  // XPath literal and the stylesheet's XML.
+  hdt::Hdt tree = test::ParseXmlOrDie(R"(<people>
+  <p><name>O'Brien</name></p><p><name>AT&amp;T</name></p>
+  <p><name>say "hi"</name></p><p><name>a&lt;b</name></p>
+  <p><name>Smith</name></p>
+</people>)");
+  for (const char* constant : {"O'Brien", "AT&T", "say \"hi\"", "a<b"}) {
+    for (dsl::CmpOp op : {dsl::CmpOp::kEq, dsl::CmpOp::kNe}) {
+      dsl::Program p;
+      dsl::ColumnExtractor names;
+      names.steps.push_back({dsl::ColOp::kDescendants, "name", 0});
+      p.columns = {names};
+      dsl::Atom atom;
+      atom.lhs_col = 0;
+      atom.op = op;
+      atom.rhs_is_const = true;
+      atom.rhs_const = constant;
+      p.atoms = {atom};
+      p.formula.clauses = {{{0, false}}};
+
+      std::string stylesheet = xml::GenerateXslt(p);
+      auto via_xslt = xml::RunXslt(stylesheet, tree);
+      ASSERT_TRUE(via_xslt.ok())
+          << via_xslt.status().ToString() << "\n" << stylesheet;
+      auto native = core::ExecuteOptimized(tree, p);
+      ASSERT_TRUE(native.ok());
+      EXPECT_EQ(native->NumRows(), op == dsl::CmpOp::kEq ? 1u : 4u);
+      EXPECT_EQ(SortedSet(via_xslt->rows()), SortedSet(native->rows()))
+          << "stylesheet:\n" << stylesheet;
+    }
+  }
+}
+
 TEST(XsltInterpreter, RejectsUnknownConstructs) {
   auto r = xml::RunXslt("<foo/>", hdt::Hdt());
   EXPECT_FALSE(r.ok());

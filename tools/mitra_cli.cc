@@ -365,7 +365,7 @@ int Migrate(const std::map<std::string, std::string>& flags) {
     target.emplace(std::move(*parsed));
   }
   const hdt::Hdt* doc = target ? &*target : &*tree;
-  db::Database out = migrator.ExecuteTolerant({doc}, &*report, mopts);
+  db::Database out = migrator.ExecuteTolerant(*doc, 0, &*report, mopts);
   // Per-migration work counters (learn + execute), embedded in the
   // --report=json output.
   report->metrics = obs::SnapshotDelta(metrics_before);
@@ -486,6 +486,7 @@ int Batch(const std::map<std::string, std::string>& flags) {
   }
 
   const int threads_flag = ThreadsFlag(flags);
+  bopts.migrator.synthesis.num_threads = threads_flag;
   const unsigned threads =
       threads_flag == 0
           ? common::ThreadPool::HardwareThreads()
