@@ -30,7 +30,8 @@ bool IsUnary(const Atom& a) {
 ///  - kind 0, internal node: payload is the node id (identity);
 ///  - kind 1, numeric leaf: payload is the parsed double's bit pattern, so
 ///    "3" and "3.0" collide (ParseNumber only yields finite values, so
-///    there is no NaN != NaN hazard; -0.0 and 0.0 get distinct keys);
+///    there is no NaN != NaN hazard; -0.0 is keyed as 0.0, since "-0" and
+///    "0" compare equal);
 ///  - kind 2, non-numeric leaf: payload is the dictionary id; dataless
 ///    leaves and ""-valued leaves share a sentinel, as both compare equal
 ///    to "".
@@ -57,9 +58,10 @@ U128Key JoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
   if (data.empty()) return {2, ~uint64_t{0}};
   hdt::DataId d = tree.GetDataId(n);
   if (const std::optional<double>& num = tree.DictNumber(d)) {
+    const double value = *num == 0.0 ? 0.0 : *num;
     uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(*num));
-    std::memcpy(&bits, &*num, sizeof(bits));
+    static_assert(sizeof(bits) == sizeof(value));
+    std::memcpy(&bits, &value, sizeof(bits));
     return {1, bits};
   }
   return {2, static_cast<uint64_t>(static_cast<uint32_t>(d))};
@@ -84,24 +86,6 @@ class JoinIndex {
  private:
   std::unordered_map<U128Key, std::vector<hdt::NodeId>, U128KeyHash> by_key_;
 };
-
-bool CmpHolds(CmpOp op, int cmp) {
-  switch (op) {
-    case CmpOp::kEq:
-      return cmp == 0;
-    case CmpOp::kNe:
-      return cmp != 0;
-    case CmpOp::kLt:
-      return cmp < 0;
-    case CmpOp::kLe:
-      return cmp <= 0;
-    case CmpOp::kGt:
-      return cmp > 0;
-    case CmpOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -233,6 +217,10 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
         std::to_string(dsl::kMaxEvalColumns) + ")");
   }
   MITRA_GOV_CHECK(opts.governor, "exec/start");
+  // Every atom's node extractors, bound to this tree's tag ids once per
+  // call; the pool threads below only read them.
+  const std::vector<dsl::BoundAtom> atoms =
+      dsl::BindAtoms(tree, program_.atoms);
   // Memoized column evaluation: identical extractors share one result —
   // within this program, and across programs when a ColumnCache is
   // supplied (the paper's §9 cross-table memoization).
@@ -278,44 +266,42 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
   std::vector<std::vector<int8_t>> const_truth(program_.atoms.size());
   auto eval_unary_literal = [&](const Literal& lit,
                                 const dsl::NodeTuple& probe) {
-    const Atom& a = program_.atoms[lit.atom];
+    const dsl::BoundAtom& bound = atoms[static_cast<size_t>(lit.atom)];
+    const Atom& a = *bound.atom;
     bool v;
     if (a.rhs_is_const) {
       v = false;
       if (a.lhs_col >= 0 && static_cast<size_t>(a.lhs_col) < probe.size()) {
         hdt::NodeId n1 = dsl::EvalNodeExtractor(
-            tree, a.lhs_path, probe[static_cast<size_t>(a.lhs_col)]);
+            tree, bound.lhs_path, probe[static_cast<size_t>(a.lhs_col)]);
         if (n1 != hdt::kInvalidNode && tree.HasData(n1)) {
           hdt::DataId d = tree.GetDataId(n1);
           std::vector<int8_t>& memo =
               const_truth[static_cast<size_t>(lit.atom)];
           if (memo.empty()) memo.assign(tree.DictSize(), -1);
           int8_t& m = memo[static_cast<size_t>(d)];
-          if (m < 0) {
-            m = CmpHolds(a.op, CompareData(tree.DictValue(d), a.rhs_const))
-                    ? 1
-                    : 0;
-          }
+          if (m < 0) m = dsl::ConstCmpHolds(tree, bound, d) ? 1 : 0;
           v = m == 1;
         }
       }
     } else {
-      v = dsl::EvalAtom(tree, a, probe);
+      v = dsl::EvalAtom(tree, bound, probe);
     }
     return lit.negated ? !v : v;
   };
 
   for (const ClausePlan& plan : clauses_) {
     // Per-clause filtered candidate lists (unary literals applied once),
-    // indexed by *column*.
+    // indexed by *column*. A unary literal reads only its own column of
+    // the one probe tuple.
     std::vector<std::vector<hdt::NodeId>> filtered(k);
+    dsl::NodeTuple probe(k, hdt::kInvalidNode);
     bool clause_empty = false;
     for (size_t l = 0; l < k && !clause_empty; ++l) {
       const LevelPlan& lp = plan.levels[l];
       size_t col = static_cast<size_t>(lp.column);
       for (hdt::NodeId n : *columns[col]) {
         bool pass = true;
-        dsl::NodeTuple probe(k, hdt::kInvalidNode);
         probe[col] = n;
         for (int li : lp.unary_literals) {
           const Literal& lit = plan.literals[static_cast<size_t>(li)];
@@ -326,6 +312,7 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
         }
         if (pass) filtered[col].push_back(n);
       }
+      probe[col] = hdt::kInvalidNode;
       if (filtered[col].empty()) clause_empty = true;
     }
     if (clause_empty) continue;
@@ -337,9 +324,9 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
       if (!lp.has_driver) continue;
       const Literal& lit =
           plan.literals[static_cast<size_t>(lp.driver.literal_index)];
-      const Atom& a = program_.atoms[lit.atom];
+      const dsl::BoundAtom& a = atoms[static_cast<size_t>(lit.atom)];
       // The side of the atom bound at *this* level.
-      const dsl::NodeExtractor& my_path =
+      const dsl::BoundNodeExtractor& my_path =
           lp.driver.probe_is_lhs ? a.rhs_path : a.lhs_path;
       for (hdt::NodeId n : filtered[static_cast<size_t>(lp.column)]) {
         hdt::NodeId m = dsl::EvalNodeExtractor(tree, my_path, n);
@@ -384,8 +371,8 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
         if (lp.has_driver) {
           const Literal& lit =
               plan.literals[static_cast<size_t>(lp.driver.literal_index)];
-          const Atom& a = program_.atoms[lit.atom];
-          const dsl::NodeExtractor& probe_path =
+          const dsl::BoundAtom& a = atoms[static_cast<size_t>(lit.atom)];
+          const dsl::BoundNodeExtractor& probe_path =
               lp.driver.probe_is_lhs ? a.lhs_path : a.rhs_path;
           hdt::NodeId bound = tuple[static_cast<size_t>(lp.driver.probe_col)];
           hdt::NodeId m = dsl::EvalNodeExtractor(tree, probe_path, bound);
@@ -405,7 +392,8 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
           bool pass = true;
           for (int li : lp.check_literals) {
             const Literal& lit = plan.literals[static_cast<size_t>(li)];
-            bool v = dsl::EvalAtom(tree, program_.atoms[lit.atom], tuple);
+            bool v = dsl::EvalAtom(
+                tree, atoms[static_cast<size_t>(lit.atom)], tuple);
             if (lit.negated) v = !v;
             if (!v) {
               pass = false;

@@ -1,6 +1,7 @@
 #include "db/migrator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -80,10 +81,15 @@ std::string ProgramCacheKey(const hdt::Hdt& tree, const hdt::Table& example) {
 }
 
 std::string KeyOf(int doc_index, const dsl::NodeTuple& nodes) {
-  std::string key = std::to_string(doc_index);
+  std::string key;
+  char digits[12];  // an int32 prints in at most 11 characters
+  auto append = [&](int32_t v) {
+    key.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+  };
+  append(doc_index);
   for (hdt::NodeId n : nodes) {
     key += '-';
-    key += std::to_string(n);
+    append(n);
   }
   return key;
 }
@@ -233,7 +239,20 @@ Result<hdt::Table> Migrator::BuildTable(
   for (const ColumnDef& c : t.columns) names.push_back(c.name);
   hdt::Table out(names);
 
-  auto fk_it = fk_plans_.find(t.name);
+  // Each foreign-key column's plan, its extractors bound to this document
+  // once.
+  struct ForeignKey {
+    const ForeignKeyPlan* plan = nullptr;
+    std::vector<dsl::BoundNodeExtractor> extractors;
+  };
+  std::vector<ForeignKey> fks(t.columns.size());
+  for (size_t c = 0; c < t.columns.size(); ++c) {
+    if (t.columns[c].kind != ColumnKind::kForeignKey) continue;
+    fks[c].plan = &fk_plans_.at(t.name).at(c);
+    for (const dsl::NodeExtractor& e : fks[c].plan->extractors) {
+      fks[c].extractors.push_back(dsl::BindNodeExtractor(doc, e));
+    }
+  }
   for (const dsl::NodeTuple& tuple : tuples) {
     hdt::Row row;
     row.reserve(t.columns.size());
@@ -247,13 +266,13 @@ Result<hdt::Table> Migrator::BuildTable(
           row.push_back(KeyOf(doc_index, tuple));
           break;
         case ColumnKind::kForeignKey: {
-          const ForeignKeyPlan& plan = fk_it->second.at(c);
+          const ForeignKey& fk = fks[c];
           dsl::NodeTuple ref_tuple;
-          ref_tuple.reserve(plan.extractors.size());
-          for (size_t j = 0; j < plan.extractors.size(); ++j) {
+          ref_tuple.reserve(fk.extractors.size());
+          for (size_t j = 0; j < fk.extractors.size(); ++j) {
             hdt::NodeId n = dsl::EvalNodeExtractor(
-                doc, plan.extractors[j],
-                tuple[static_cast<size_t>(plan.source_cols[j])]);
+                doc, fk.extractors[j],
+                tuple[static_cast<size_t>(fk.plan->source_cols[j])]);
             if (n == hdt::kInvalidNode) {
               return Status::InvalidArgument(
                   "foreign-key extractor for " + t.name + "." +

@@ -66,23 +66,54 @@ std::vector<hdt::NodeId> EvalColumn(const hdt::Hdt& tree,
   return EvalColumnFrom(tree, pi, {tree.root()});
 }
 
-hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree, const NodeExtractor& phi,
-                              hdt::NodeId n) {
+BoundNodeExtractor BindNodeExtractor(const hdt::Hdt& tree,
+                                     const NodeExtractor& phi) {
+  BoundNodeExtractor bound;
+  bound.steps.reserve(phi.steps.size());
   for (const NodeStep& st : phi.steps) {
+    BoundNodeExtractor::Step& b = bound.steps.emplace_back();
+    b.op = st.op;
+    b.pos = st.pos;
+    if (st.op == NodeOp::kChild) b.tag = tree.LookupTag(st.tag).value_or(-1);
+  }
+  return bound;
+}
+
+hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree,
+                              const BoundNodeExtractor& phi, hdt::NodeId n) {
+  for (const BoundNodeExtractor::Step& st : phi.steps) {
     if (n == hdt::kInvalidNode) return hdt::kInvalidNode;
     switch (st.op) {
       case NodeOp::kParent:
         n = tree.Parent(n);
         break;
-      case NodeOp::kChild: {
-        auto tag = tree.LookupTag(st.tag);
-        if (!tag) return hdt::kInvalidNode;
-        n = tree.ChildWithTagPos(n, *tag, st.pos);
+      case NodeOp::kChild:
+        if (st.tag < 0) return hdt::kInvalidNode;
+        n = tree.ChildWithTagPos(n, st.tag, st.pos);
         break;
-      }
     }
   }
   return n;
+}
+
+BoundAtom BindAtom(const hdt::Hdt& tree, const Atom& atom) {
+  BoundAtom bound;
+  bound.atom = &atom;
+  bound.lhs_path = BindNodeExtractor(tree, atom.lhs_path);
+  if (atom.rhs_is_const) {
+    bound.rhs_number = ParseNumber(atom.rhs_const);
+  } else {
+    bound.rhs_path = BindNodeExtractor(tree, atom.rhs_path);
+  }
+  return bound;
+}
+
+std::vector<BoundAtom> BindAtoms(const hdt::Hdt& tree,
+                                 const std::vector<Atom>& atoms) {
+  std::vector<BoundAtom> bound;
+  bound.reserve(atoms.size());
+  for (const Atom& a : atoms) bound.push_back(BindAtom(tree, a));
+  return bound;
 }
 
 namespace {
@@ -105,32 +136,62 @@ bool ApplyCmp(CmpOp op, int cmp) {
   return false;
 }
 
+int CompareNumbers(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+int CompareStrings(std::string_view a, std::string_view b) {
+  const int c = a.compare(b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+/// CompareData of two leaves' data, a data-less leaf holding "", with
+/// each value's number read from the dictionary rather than parsed.
+int CompareLeaves(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
+  const hdt::DataId da = tree.GetDataId(a);
+  const hdt::DataId db = tree.GetDataId(b);
+  if (da == db) return 0;  // one value, or two data-less leaves
+  if (da != hdt::kInvalidData && db != hdt::kInvalidData) {
+    const std::optional<double>& na = tree.DictNumber(da);
+    const std::optional<double>& nb = tree.DictNumber(db);
+    if (na && nb) return CompareNumbers(*na, *nb);
+  }
+  return CompareStrings(tree.Data(a), tree.Data(b));
+}
+
 }  // namespace
 
-bool EvalAtom(const hdt::Hdt& tree, const Atom& atom, const NodeTuple& t) {
+bool ConstCmpHolds(const hdt::Hdt& tree, const BoundAtom& atom,
+                   hdt::DataId d) {
+  const std::optional<double>& num = tree.DictNumber(d);
+  const int cmp = num && atom.rhs_number
+                      ? CompareNumbers(*num, *atom.rhs_number)
+                      : CompareStrings(tree.DictValue(d), atom.atom->rhs_const);
+  return ApplyCmp(atom.atom->op, cmp);
+}
+
+bool EvalAtom(const hdt::Hdt& tree, const BoundAtom& bound,
+              const NodeTuple& t) {
+  const Atom& atom = *bound.atom;
   if (atom.lhs_col < 0 || static_cast<size_t>(atom.lhs_col) >= t.size()) {
     return false;
   }
-  hdt::NodeId n1 = EvalNodeExtractor(tree, atom.lhs_path, t[atom.lhs_col]);
+  hdt::NodeId n1 = EvalNodeExtractor(tree, bound.lhs_path, t[atom.lhs_col]);
   if (n1 == hdt::kInvalidNode) return false;
 
   if (atom.rhs_is_const) {
     // ⟦((λn.ϕ) t[i]) ⋈ c⟧ = n'.data ⋈ c  (nil data never satisfies).
     if (!tree.HasData(n1)) return false;
-    return ApplyCmp(atom.op, CompareData(tree.Data(n1), atom.rhs_const));
+    return ConstCmpHolds(tree, bound, tree.GetDataId(n1));
   }
 
   if (atom.rhs_col < 0 || static_cast<size_t>(atom.rhs_col) >= t.size()) {
     return false;
   }
-  hdt::NodeId n2 = EvalNodeExtractor(tree, atom.rhs_path, t[atom.rhs_col]);
+  hdt::NodeId n2 = EvalNodeExtractor(tree, bound.rhs_path, t[atom.rhs_col]);
   if (n2 == hdt::kInvalidNode) return false;
 
   bool leaf1 = tree.IsLeaf(n1);
   bool leaf2 = tree.IsLeaf(n2);
-  if (leaf1 && leaf2) {
-    return ApplyCmp(atom.op, CompareData(tree.Data(n1), tree.Data(n2)));
-  }
+  if (leaf1 && leaf2) return ApplyCmp(atom.op, CompareLeaves(tree, n1, n2));
   if (!leaf1 && !leaf2 && atom.op == CmpOp::kEq) {
     return n1 == n2;  // node identity (Fig. 7)
   }
@@ -138,7 +199,7 @@ bool EvalAtom(const hdt::Hdt& tree, const Atom& atom, const NodeTuple& t) {
 }
 
 bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
-             const std::vector<Atom>& atoms, const NodeTuple& t) {
+             const std::vector<BoundAtom>& atoms, const NodeTuple& t) {
   for (const auto& clause : f.clauses) {
     bool all = true;
     for (const Literal& lit : clause) {
@@ -214,9 +275,10 @@ Result<std::vector<NodeTuple>> EvalProgramNodeTuples(const hdt::Hdt& tree,
                                                      const EvalOptions& opts) {
   MITRA_ASSIGN_OR_RETURN(std::vector<NodeTuple> cross,
                          EvalCrossProduct(tree, p.columns, opts));
+  const std::vector<BoundAtom> atoms = BindAtoms(tree, p.atoms);
   std::vector<NodeTuple> out;
   for (NodeTuple& t : cross) {
-    if (EvalDnf(tree, p.formula, p.atoms, t)) out.push_back(std::move(t));
+    if (EvalDnf(tree, p.formula, atoms, t)) out.push_back(std::move(t));
   }
   // Tuples are counted once per eval call, not per tuple: this is the
   // synthesizer's innermost verification loop.

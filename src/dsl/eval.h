@@ -1,6 +1,7 @@
 #ifndef MITRA_DSL_EVAL_H_
 #define MITRA_DSL_EVAL_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/governor.h"
@@ -32,19 +33,57 @@ std::vector<hdt::NodeId> EvalColumnFrom(const hdt::Hdt& tree,
                                         const ColumnExtractor& pi,
                                         const std::vector<hdt::NodeId>& start);
 
-/// Evaluates a node extractor on one node; kInvalidNode encodes ⊥.
-hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree, const NodeExtractor& phi,
-                              hdt::NodeId n);
+/// A node extractor bound to one tree: each child step's tag is resolved
+/// to the tree's TagId once, so evaluating it on a node hashes no string.
+/// Valid only with the tree it was bound to.
+struct BoundNodeExtractor {
+  struct Step {
+    NodeOp op = NodeOp::kParent;
+    /// kChild: the tag's id, or -1 when the tree lacks the tag (the step
+    /// is then ⊥ on every node).
+    hdt::TagId tag = -1;
+    int32_t pos = 0;
+  };
+  std::vector<Step> steps;
+};
+
+BoundNodeExtractor BindNodeExtractor(const hdt::Hdt& tree,
+                                     const NodeExtractor& phi);
+
+/// Evaluates a bound node extractor on one node; kInvalidNode encodes ⊥.
+hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree,
+                              const BoundNodeExtractor& phi, hdt::NodeId n);
+
+/// An atom bound to one tree: both node extractors bound, and the
+/// constant's number parsed once.
+struct BoundAtom {
+  const Atom* atom = nullptr;  ///< not owned; must outlive the binding
+  BoundNodeExtractor lhs_path;
+  BoundNodeExtractor rhs_path;
+  /// ParseNumber of the constant (constant atoms only).
+  std::optional<double> rhs_number;
+};
+
+BoundAtom BindAtom(const hdt::Hdt& tree, const Atom& atom);
+std::vector<BoundAtom> BindAtoms(const hdt::Hdt& tree,
+                                 const std::vector<Atom>& atoms);
+
+/// Whether a leaf holding dictionary value `d` satisfies the constant
+/// atom's comparison `d op c` (CompareData semantics, with the leaf's
+/// number read from the dictionary).
+bool ConstCmpHolds(const hdt::Hdt& tree, const BoundAtom& atom,
+                   hdt::DataId d);
 
 /// Evaluates an atomic predicate on a tuple (Fig. 7 comparison rules:
-/// leaf-leaf compares data — numerically when both sides parse as numbers;
-/// internal-internal supports only `=`, meaning node identity; mixed or ⊥
-/// yields false).
-bool EvalAtom(const hdt::Hdt& tree, const Atom& atom, const NodeTuple& t);
+/// leaf-leaf compares data — numerically when both sides parse as numbers,
+/// a data-less leaf holding "" — internal-internal supports only `=`,
+/// meaning node identity; mixed or ⊥ yields false).
+bool EvalAtom(const hdt::Hdt& tree, const BoundAtom& atom,
+              const NodeTuple& t);
 
-/// Evaluates a DNF formula over the given atom pool.
+/// Evaluates a DNF formula over the given bound atom pool.
 bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
-             const std::vector<Atom>& atoms, const NodeTuple& t);
+             const std::vector<BoundAtom>& atoms, const NodeTuple& t);
 
 /// Resource bounds for naive evaluation.
 struct EvalOptions {
@@ -69,6 +108,7 @@ Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
 
 /// Like EvalProgram but returns the surviving *node tuples* instead of
 /// their data projection (needed for primary/foreign key generation, §6).
+/// Binds the program's atoms to `tree` once per call.
 Result<std::vector<NodeTuple>> EvalProgramNodeTuples(
     const hdt::Hdt& tree, const Program& p, const EvalOptions& opts = {});
 

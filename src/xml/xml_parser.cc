@@ -1,7 +1,8 @@
 #include "xml/xml_parser.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/strings.h"
@@ -15,15 +16,39 @@ namespace {
 /// worst-case stack usage a few hundred frames regardless of input size.
 constexpr int kMaxNestingDepth = 256;
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+/// Byte classes. Letters, digits and whitespace are the C locale's
+/// isalpha / isdigit / isspace sets (so a non-ASCII byte is none of them);
+/// kTextStop marks the bytes that end a run of character data.
+enum : uint8_t { kNameStart = 1, kNameChar = 2, kSpace = 4, kTextStop = 8 };
+
+constexpr std::array<uint8_t, 256> MakeByteClasses() {
+  std::array<uint8_t, 256> c{};
+  for (int b = 'a'; b <= 'z'; ++b) c[b] = kNameStart | kNameChar;
+  for (int b = 'A'; b <= 'Z'; ++b) c[b] = kNameStart | kNameChar;
+  for (int b = '0'; b <= '9'; ++b) c[b] = kNameChar;
+  c['_'] = c[':'] = kNameStart | kNameChar;
+  c['-'] = c['.'] = kNameChar;
+  for (int b : {' ', '\t', '\n', '\v', '\f', '\r'}) c[b] = kSpace;
+  c['<'] = c['&'] = kTextStop;
+  return c;
 }
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
+constexpr std::array<uint8_t, 256> kByteClass = MakeByteClasses();
+
+bool Is(char c, uint8_t cls) {
+  return (kByteClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
+/// Appends the decoding of `s` (see DecodeEntities) to `*out`.
+Status DecodeEntitiesInto(std::string_view s, std::string* out);
+
 /// Recursive-descent XML parser emitting the HDT encoding into a builder.
+///
+/// Names, attribute values and character data are views of the input
+/// wherever the document spells them out literally. Only an attribute
+/// value holding an entity, and a run of character data made of more than
+/// one piece (text split by a comment, CDATA section, processing
+/// instruction or entity), is copied — into a buffer the parser owns and
+/// reuses, so a document costs no allocation per element.
 class Parser {
  public:
   explicit Parser(std::string_view in, common::Governor* gov = nullptr)
@@ -39,6 +64,17 @@ class Parser {
   }
 
  private:
+  /// One attribute of the start tag being read. `value` is a view of the
+  /// input; a value holding an entity is decoded into decoded_ instead, at
+  /// [decoded_begin, decoded_end), and `value` is pointed there once the
+  /// tag is read (decoded_ may move while it grows).
+  struct Attr {
+    std::string_view name;
+    std::string_view value;
+    size_t decoded_begin = std::string::npos;
+    size_t decoded_end = 0;
+  };
+
   // --- low-level cursor ---------------------------------------------------
   bool AtEnd() const { return pos_ >= in_.size(); }
   char Peek() const { return in_[pos_]; }
@@ -60,11 +96,11 @@ class Parser {
     }
     return false;
   }
-  void SkipWs() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
+  /// Advances over bytes of class `cls`.
+  void SkipClass(uint8_t cls) {
+    while (!AtEnd() && Is(Peek(), cls)) Advance();
   }
+  void SkipWs() { SkipClass(kSpace); }
   /// A parse error at the cursor. Line and column (both from 1) are
   /// counted here, from the byte offset, rather than on every advance.
   Status Err(std::string msg) const {
@@ -123,26 +159,57 @@ class Parser {
   }
 
   Result<std::string_view> ParseName() {
-    if (AtEnd() || !IsNameStartChar(Peek())) {
+    if (AtEnd() || !Is(Peek(), kNameStart)) {
       return Err("expected a name");
     }
     size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) Advance();
+    SkipClass(kNameChar);
     return in_.substr(start, pos_ - start);
   }
 
-  Result<std::string> ParseAttrValue() {
+  /// Reads a quoted attribute value into `attr`.
+  Status ParseAttrValue(Attr* attr) {
     if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
       return Err("expected quoted value");
     }
     const char quote = Peek();
     Advance();
-    size_t start = pos_;
-    while (!AtEnd() && Peek() != quote) Advance();
-    if (AtEnd()) return Err("unterminated attribute value");
-    std::string_view raw = in_.substr(start, pos_ - start);
-    Advance();  // closing quote
-    return DecodeEntities(raw);
+    const size_t close = in_.find(quote, pos_);
+    if (close == std::string_view::npos) {
+      pos_ = in_.size();
+      return Err("unterminated attribute value");
+    }
+    attr->value = in_.substr(pos_, close - pos_);
+    pos_ = close + 1;
+    if (attr->value.find('&') == std::string_view::npos) return Status::OK();
+    attr->decoded_begin = decoded_.size();
+    MITRA_RETURN_IF_ERROR(DecodeEntitiesInto(attr->value, &decoded_));
+    attr->decoded_end = decoded_.size();
+    return Status::OK();
+  }
+
+  /// Reads the attributes of the start tag of `name` into attrs_, up to
+  /// (not including) its closing '/' or '>'.
+  Status ParseAttributes(std::string_view name) {
+    attrs_.clear();
+    decoded_.clear();
+    while (true) {
+      SkipWs();
+      if (AtEnd()) return Err("unterminated start tag <" + std::string(name));
+      if (Peek() == '/' || Peek() == '>') break;
+      Attr& attr = attrs_.emplace_back();
+      MITRA_ASSIGN_OR_RETURN(attr.name, ParseName());
+      SkipWs();
+      if (!Consume('=')) return Err("expected '=' after attribute name");
+      SkipWs();
+      MITRA_RETURN_IF_ERROR(ParseAttrValue(&attr));
+    }
+    for (Attr& a : attrs_) {
+      if (a.decoded_begin == std::string::npos) continue;
+      a.value = std::string_view(decoded_).substr(
+          a.decoded_begin, a.decoded_end - a.decoded_begin);
+    }
+    return Status::OK();
   }
 
   /// Parses one element; creates the node under `parent` (or the root).
@@ -153,44 +220,22 @@ class Parser {
     MITRA_GOV_CHECK(gov_, "xml/parse");
     if (!Consume('<')) return Err("expected '<'");
     MITRA_ASSIGN_OR_RETURN(std::string_view name, ParseName());
-
-    struct Attr {
-      std::string_view name;
-      std::string value;
-    };
-    std::vector<Attr> attrs;
-    while (true) {
-      SkipWs();
-      if (AtEnd()) return Err("unterminated start tag <" + std::string(name));
-      if (Peek() == '/' || Peek() == '>') break;
-      MITRA_ASSIGN_OR_RETURN(std::string_view aname, ParseName());
-      SkipWs();
-      if (!Consume('=')) return Err("expected '=' after attribute name");
-      SkipWs();
-      MITRA_ASSIGN_OR_RETURN(std::string avalue, ParseAttrValue());
-      attrs.push_back({aname, std::move(avalue)});
-    }
+    MITRA_RETURN_IF_ERROR(ParseAttributes(name));
 
     bool self_closing = Consume('/');
     if (!Consume('>')) return Err("expected '>'");
 
-    MITRA_RETURN_IF_ERROR(ChargeNodes(1 + attrs.size()));
+    MITRA_RETURN_IF_ERROR(ChargeNodes(1 + attrs_.size()));
     hdt::NodeId node = parent == hdt::kInvalidNode
                            ? tree_.AddRoot(name)
                            : tree_.AddChild(parent, name);
-    for (const Attr& a : attrs) tree_.AddAttribute(node, a.name, a.value);
+    for (const Attr& a : attrs_) tree_.AddAttribute(node, a.name, a.value);
     if (self_closing) return Status::OK();
 
     // Content: interleave text runs and child elements until </name>.
-    std::vector<std::string> text_runs;
-    std::string pending_text;
-    bool saw_child_element = !attrs.empty();
-    auto flush_text = [&]() {
-      std::string_view trimmed = TrimWhitespace(pending_text);
-      if (!trimmed.empty()) text_runs.emplace_back(trimmed);
-      pending_text.clear();
-    };
-
+    // attrs_ and decoded_ are free again; the run of character data since
+    // the last child is built in text_view_ / text_.
+    bool saw_child_element = !attrs_.empty();
     while (true) {
       if (AtEnd()) {
         return Err("unterminated element <" + std::string(name) + ">");
@@ -207,7 +252,7 @@ class Parser {
             pos_ = in_.size();
             return Err("unterminated CDATA section");
           }
-          pending_text.append(in_.substr(start, close - start));
+          AppendText(in_.substr(start, close - start));
           pos_ = close + 3;
           continue;
         }
@@ -227,37 +272,62 @@ class Parser {
           }
           break;
         }
-        // A child element: any buffered text becomes a `text` child run.
-        flush_text();
+        // A child element: the text run so far becomes a `text` child
+        // before it, in document order.
         saw_child_element = true;
-        // Emit text runs seen so far in document order before the child.
-        MITRA_RETURN_IF_ERROR(EmitTextRuns(node, &text_runs));
+        MITRA_RETURN_IF_ERROR(EmitTextRun(node, TakeText()));
         MITRA_RETURN_IF_ERROR(ParseElement(node, depth + 1));
       } else if (Peek() == '&') {
         size_t start = pos_;
         while (!AtEnd() && Peek() != ';') Advance();
         if (AtEnd()) return Err("unterminated entity reference");
         Advance();  // ';'
-        MITRA_ASSIGN_OR_RETURN(
-            std::string decoded,
-            DecodeEntities(in_.substr(start, pos_ - start)));
-        pending_text.append(decoded);
+        TextToBuffer();
+        MITRA_RETURN_IF_ERROR(
+            DecodeEntitiesInto(in_.substr(start, pos_ - start), &text_));
       } else {
         // Plain character data up to the next markup or entity.
         const size_t start = pos_;
-        while (!AtEnd() && Peek() != '<' && Peek() != '&') Advance();
-        pending_text.append(in_.substr(start, pos_ - start));
+        while (!AtEnd() && !Is(Peek(), kTextStop)) Advance();
+        AppendText(in_.substr(start, pos_ - start));
       }
     }
 
-    flush_text();
-    if (!saw_child_element && text_runs.size() == 1) {
+    const std::string_view run = TakeText();
+    if (!saw_child_element && !run.empty()) {
       // Pure text content (so no children at all): store it as the
       // element's own data (Fig. 4a).
-      tree_.SetLeafData(node, text_runs[0]);
+      tree_.SetLeafData(node, run);
       return Status::OK();
     }
-    return EmitTextRuns(node, &text_runs);
+    return EmitTextRun(node, run);
+  }
+
+  // --- the current run of character data ----------------------------------
+
+  /// Adds a piece of character data to the run. A run of one piece stays
+  /// a view of the input.
+  void AppendText(std::string_view piece) {
+    if (!text_buffered_ && text_view_.empty()) {
+      text_view_ = piece;
+      return;
+    }
+    TextToBuffer();
+    text_.append(piece);
+  }
+  /// Moves the run into text_, so that more can be appended to it.
+  void TextToBuffer() {
+    if (text_buffered_) return;
+    text_.assign(text_view_);
+    text_buffered_ = true;
+  }
+  /// The run with surrounding whitespace trimmed, and starts a new one.
+  /// The view is valid until the next piece is added.
+  std::string_view TakeText() {
+    const std::string_view run = text_buffered_ ? text_ : text_view_;
+    text_view_ = {};
+    text_buffered_ = false;
+    return TrimWhitespace(run);
   }
 
   /// Charges `nodes` new tree nodes to the governor.
@@ -266,11 +336,12 @@ class Parser {
     return gov_->ChargeBytes(nodes * hdt::kBytesPerNode, "alloc/xml-node");
   }
 
-  /// Appends the buffered text runs as `text` children of `node`.
-  Status EmitTextRuns(hdt::NodeId node, std::vector<std::string>* runs) {
-    MITRA_RETURN_IF_ERROR(ChargeNodes(runs->size()));
-    for (const std::string& run : *runs) tree_.AddTextRun(node, run);
-    runs->clear();
+  /// Appends a non-empty text run as a `text` child of `node`, after
+  /// charging it (an empty run charges zero nodes, which still checks the
+  /// governor).
+  Status EmitTextRun(hdt::NodeId node, std::string_view run) {
+    MITRA_RETURN_IF_ERROR(ChargeNodes(run.empty() ? 0 : 1));
+    if (!run.empty()) tree_.AddTextRun(node, run);
     return Status::OK();
   }
 
@@ -278,11 +349,12 @@ class Parser {
   common::Governor* gov_ = nullptr;
   size_t pos_ = 0;
   hdt::HdtBuilder tree_;
+  std::vector<Attr> attrs_;
+  std::string decoded_;
+  std::string_view text_view_;
+  std::string text_;
+  bool text_buffered_ = false;
 };
-
-}  // namespace
-
-namespace {
 
 Result<hdt::Hdt> ParseCounted(std::string_view input,
                               common::Governor* governor) {
@@ -305,12 +377,12 @@ Result<hdt::Hdt> ParseXml(std::string_view input,
   return ParseCounted(input, opts.governor);
 }
 
-Result<std::string> DecodeEntities(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+Status DecodeEntitiesInto(std::string_view s, std::string* out) {
   for (size_t i = 0; i < s.size(); ++i) {
     if (s[i] != '&') {
-      out.push_back(s[i]);
+      out->push_back(s[i]);
       continue;
     }
     size_t semi = s.find(';', i);
@@ -320,15 +392,15 @@ Result<std::string> DecodeEntities(std::string_view s) {
     }
     std::string_view ent = s.substr(i + 1, semi - i - 1);
     if (ent == "lt") {
-      out.push_back('<');
+      out->push_back('<');
     } else if (ent == "gt") {
-      out.push_back('>');
+      out->push_back('>');
     } else if (ent == "amp") {
-      out.push_back('&');
+      out->push_back('&');
     } else if (ent == "quot") {
-      out.push_back('"');
+      out->push_back('"');
     } else if (ent == "apos") {
-      out.push_back('\'');
+      out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
       bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
       std::string_view digits = ent.substr(hex ? 2 : 1);
@@ -359,25 +431,34 @@ Result<std::string> DecodeEntities(std::string_view s) {
       }
       // UTF-8 encode.
       if (code < 0x80) {
-        out.push_back(static_cast<char>(code));
+        out->push_back(static_cast<char>(code));
       } else if (code < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       } else if (code < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       } else {
-        out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       }
     } else {
       return Status::ParseError("unknown entity &" + std::string(ent) + ";");
     }
     i = semi;
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> DecodeEntities(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  MITRA_RETURN_IF_ERROR(DecodeEntitiesInto(s, &out));
   return out;
 }
 

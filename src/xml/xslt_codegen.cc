@@ -114,21 +114,38 @@ std::string CmpXPath(CmpOp op) {
 
 std::string VarName(int col) { return "$c" + std::to_string(col); }
 
+/// An XPath 1.0 string literal for `s`. Literals have no escapes: a string
+/// without ' is delimited by ', one without " by ", and one holding both
+/// is a concat() of alternately quoted pieces — each run of ' inside "…",
+/// the text between runs inside '…'.
+std::string XPathStringLiteral(const std::string& s) {
+  if (s.find('\'') == std::string::npos) return "'" + s + "'";
+  if (s.find('"') == std::string::npos) return "\"" + s + "\"";
+  std::string out = "concat(";
+  for (size_t i = 0; i < s.size();) {
+    const bool apostrophes = s[i] == '\'';
+    size_t j = apostrophes ? s.find_first_not_of('\'', i) : s.find('\'', i);
+    if (j == std::string::npos) j = s.size();
+    if (i > 0) out += ", ";
+    const char quote = apostrophes ? '"' : '\'';
+    out += quote;
+    out.append(s, i, j - i);
+    out += quote;
+    i = j;
+  }
+  return out + ")";
+}
+
 /// Renders an atomic predicate as an XPath boolean expression.
 std::string AtomXPath(const Atom& a) {
   std::string lhs = NodeXPath(VarName(a.lhs_col), a.lhs_path);
   std::string rhs;
   bool identity = false;
   if (a.rhs_is_const) {
-    // XPath 1.0 literals have no escapes, so a constant holding a single
-    // quote is delimited by double quotes (one holding both would need
-    // concat()). The test sits in a double-quoted attribute, so the
-    // literal is XML-escaped.
-    const char quote =
-        a.rhs_const.find('\'') == std::string::npos ? '\'' : '"';
+    // The test sits in a double-quoted attribute, so the literal is
+    // XML-escaped.
     auto num = mitra::ParseNumber(a.rhs_const);
-    rhs = num ? a.rhs_const
-              : EscapeAttribute(quote + a.rhs_const + quote);
+    rhs = num ? a.rhs_const : EscapeAttribute(XPathStringLiteral(a.rhs_const));
   } else {
     rhs = NodeXPath(VarName(a.rhs_col), a.rhs_path);
     // Node-identity comparisons (internal nodes under `=`) require

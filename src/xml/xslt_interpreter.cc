@@ -170,6 +170,20 @@ class XPath {
       if (inner.nodes.empty()) return Value::Str("");
       return Value::Str("id" + std::to_string(inner.nodes.front()));
     }
+    if (ConsumeLit("concat(")) {
+      // XPath 1.0 §4.2: the concatenation of two or more arguments'
+      // string values.
+      std::string out;
+      size_t args = 0;
+      do {
+        MITRA_ASSIGN_OR_RETURN(Value arg, ParseOr());
+        out += StringOf(arg);
+        ++args;
+      } while (ConsumeLit(","));
+      if (!ConsumeLit(")")) return Err("expected ')' after concat(");
+      if (args < 2) return Err("concat() needs at least two arguments");
+      return Value::Str(std::move(out));
+    }
     if (!AtEnd() && (in_[pos_] == '\'' || in_[pos_] == '"')) {
       const char quote = in_[pos_++];
       size_t start = pos_;
@@ -354,6 +368,20 @@ class XPath {
       if (doc_.HasData(d)) out += doc_.Data(d);
     }
     return out;
+  }
+
+  /// XPath 1.0 string(): a node-set's first node's string-value ("" when
+  /// empty), a boolean's "true" / "false", a string itself.
+  std::string StringOf(const Value& v) const {
+    switch (v.kind) {
+      case Value::Kind::kNodeSet:
+        return v.nodes.empty() ? "" : NodeString(v.nodes.front());
+      case Value::Kind::kString:
+        return v.str;
+      case Value::Kind::kBool:
+        return v.boolean ? "true" : "false";
+    }
+    return "";
   }
 
   Result<Value> Compare(const Value& lhs, std::string_view op,

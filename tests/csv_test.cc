@@ -111,6 +111,36 @@ TEST(Csv, RoundTripWithCrInField) {
   EXPECT_EQ(*back, rows);
 }
 
+TEST(Csv, WriteCsvBytesAreExact) {
+  // Each quote-forcing byte at the start, middle and end of a field, an
+  // empty field, a trailing empty column, a one-field row and a row of no
+  // fields.
+  const std::vector<std::vector<std::string>> rows{
+      {",a", "a,b", "ab,"},
+      {"\"a", "a\"b", "ab\""},
+      {"\na", "a\nb", "ab\n"},
+      {"\ra", "a\rb", "ab\r"},
+      {"x", "", "y"},
+      {"trailing", ""},
+      {"one"},
+      {""},
+      {},
+      {"\"\"", "\r\n", ",\","},
+  };
+  const std::string want =
+      "\",a\",\"a,b\",\"ab,\"\n"
+      "\"\"\"a\",\"a\"\"b\",\"ab\"\"\"\n"
+      "\"\na\",\"a\nb\",\"ab\n\"\n"
+      "\"\ra\",\"a\rb\",\"ab\r\"\n"
+      "x,,y\n"
+      "trailing,\n"
+      "one\n"
+      "\n"
+      "\n"
+      "\"\"\"\"\"\",\"\r\n\",\",\"\",\"\n";
+  EXPECT_EQ(WriteCsv(rows), want);
+}
+
 TEST(Csv, RoundTrip) {
   std::vector<std::vector<std::string>> rows{
       {"plain", "with,comma", "with\"quote", "multi\nline", ""},

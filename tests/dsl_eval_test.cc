@@ -75,12 +75,12 @@ TEST(EvalNodeExtractor, ParentChainAndChild) {
   NodeExtractor up3{{{NodeOp::kParent, "", 0},
                      {NodeOp::kParent, "", 0},
                      {NodeOp::kParent, "", 0}}};
-  hdt::NodeId p = EvalNodeExtractor(t, up3, fids[0]);
+  hdt::NodeId p = EvalNodeExtractor(t, BindNodeExtractor(t, up3), fids[0]);
   ASSERT_NE(p, hdt::kInvalidNode);
   EXPECT_EQ(t.NodeTagName(p), "p");
   // child(p, id, 0) is the id attribute node.
   NodeExtractor to_id{{{NodeOp::kChild, "id", 0}}};
-  hdt::NodeId id = EvalNodeExtractor(t, to_id, p);
+  hdt::NodeId id = EvalNodeExtractor(t, BindNodeExtractor(t, to_id), p);
   ASSERT_NE(id, hdt::kInvalidNode);
   EXPECT_EQ(t.Data(id), "1");
 }
@@ -88,12 +88,15 @@ TEST(EvalNodeExtractor, ParentChainAndChild) {
 TEST(EvalNodeExtractor, BottomOnMissing) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   NodeExtractor up{{{NodeOp::kParent, "", 0}}};
-  EXPECT_EQ(EvalNodeExtractor(t, up, t.root()), hdt::kInvalidNode);
+  EXPECT_EQ(EvalNodeExtractor(t, BindNodeExtractor(t, up), t.root()),
+            hdt::kInvalidNode);
   NodeExtractor bad_child{{{NodeOp::kChild, "nope", 0}}};
-  EXPECT_EQ(EvalNodeExtractor(t, bad_child, t.root()), hdt::kInvalidNode);
+  EXPECT_EQ(EvalNodeExtractor(t, BindNodeExtractor(t, bad_child), t.root()),
+            hdt::kInvalidNode);
   // ⊥ propagates through subsequent steps.
   NodeExtractor chain{{{NodeOp::kParent, "", 0}, {NodeOp::kChild, "p", 0}}};
-  EXPECT_EQ(EvalNodeExtractor(t, chain, t.root()), hdt::kInvalidNode);
+  EXPECT_EQ(EvalNodeExtractor(t, BindNodeExtractor(t, chain), t.root()),
+            hdt::kInvalidNode);
 }
 
 TEST(EvalAtom, ConstComparisonNumericAware) {
@@ -105,16 +108,16 @@ TEST(EvalAtom, ConstComparisonNumericAware) {
   a.rhs_is_const = true;
   a.rhs_const = "2";
   a.op = CmpOp::kLt;
-  EXPECT_TRUE(EvalAtom(t, a, {ids[0]}));   // 1 < 2
-  EXPECT_FALSE(EvalAtom(t, a, {ids[1]}));  // 2 < 2
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[0]}));   // 1 < 2
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {ids[1]}));  // 2 < 2
   a.op = CmpOp::kLe;
-  EXPECT_TRUE(EvalAtom(t, a, {ids[1]}));
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[1]}));
   a.op = CmpOp::kEq;
-  EXPECT_TRUE(EvalAtom(t, a, {ids[1]}));
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[1]}));
   a.op = CmpOp::kGe;
-  EXPECT_TRUE(EvalAtom(t, a, {ids[1]}));
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[1]}));
   a.op = CmpOp::kNe;
-  EXPECT_TRUE(EvalAtom(t, a, {ids[0]}));
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[0]}));
 }
 
 TEST(EvalAtom, ConstOnInternalNodeIsFalse) {
@@ -124,7 +127,8 @@ TEST(EvalAtom, ConstOnInternalNodeIsFalse) {
   a.rhs_is_const = true;
   a.rhs_const = "x";
   a.op = CmpOp::kEq;
-  EXPECT_FALSE(EvalAtom(t, a, {t.root()}));  // nil data never satisfies
+  // nil data never satisfies
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {t.root()}));
 }
 
 TEST(EvalAtom, NodeNodeLeafDataComparison) {
@@ -137,8 +141,8 @@ TEST(EvalAtom, NodeNodeLeafDataComparison) {
   a.rhs_col = 1;
   a.op = CmpOp::kEq;
   // id=1 vs fid=1 (under p#2).
-  EXPECT_TRUE(EvalAtom(t, a, {ids[0], fids[1]}));
-  EXPECT_FALSE(EvalAtom(t, a, {ids[0], fids[0]}));  // 1 vs 2
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ids[0], fids[1]}));
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {ids[0], fids[0]}));  // 1 vs 2
 }
 
 TEST(EvalAtom, NodeNodeIdentityForInternalNodes) {
@@ -149,11 +153,11 @@ TEST(EvalAtom, NodeNodeIdentityForInternalNodes) {
   a.rhs_is_const = false;
   a.rhs_col = 1;
   a.op = CmpOp::kEq;
-  EXPECT_TRUE(EvalAtom(t, a, {ps[0], ps[0]}));
-  EXPECT_FALSE(EvalAtom(t, a, {ps[0], ps[1]}));
+  EXPECT_TRUE(EvalAtom(t, BindAtom(t, a), {ps[0], ps[0]}));
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {ps[0], ps[1]}));
   // Non-equality on internal nodes is false (Fig. 7).
   a.op = CmpOp::kLt;
-  EXPECT_FALSE(EvalAtom(t, a, {ps[0], ps[1]}));
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {ps[0], ps[1]}));
 }
 
 TEST(EvalAtom, MixedLeafInternalIsFalse) {
@@ -165,7 +169,7 @@ TEST(EvalAtom, MixedLeafInternalIsFalse) {
   a.rhs_is_const = false;
   a.rhs_col = 1;
   a.op = CmpOp::kEq;
-  EXPECT_FALSE(EvalAtom(t, a, {ps[0], ids[0]}));
+  EXPECT_FALSE(EvalAtom(t, BindAtom(t, a), {ps[0], ids[0]}));
 }
 
 TEST(EvalDnf, ClausesAndNegation) {
@@ -180,11 +184,11 @@ TEST(EvalDnf, ClausesAndNegation) {
 
   Dnf id_is_1{{{Literal{0, false}}}};
   Dnf id_not_1{{{Literal{0, true}}}};
-  EXPECT_TRUE(EvalDnf(t, id_is_1, atoms, {ids[0]}));
-  EXPECT_FALSE(EvalDnf(t, id_is_1, atoms, {ids[1]}));
-  EXPECT_TRUE(EvalDnf(t, id_not_1, atoms, {ids[1]}));
-  EXPECT_TRUE(EvalDnf(t, Dnf::True(), atoms, {ids[0]}));
-  EXPECT_FALSE(EvalDnf(t, Dnf::False(), atoms, {ids[0]}));
+  EXPECT_TRUE(EvalDnf(t, id_is_1, BindAtoms(t, atoms), {ids[0]}));
+  EXPECT_FALSE(EvalDnf(t, id_is_1, BindAtoms(t, atoms), {ids[1]}));
+  EXPECT_TRUE(EvalDnf(t, id_not_1, BindAtoms(t, atoms), {ids[1]}));
+  EXPECT_TRUE(EvalDnf(t, Dnf::True(), BindAtoms(t, atoms), {ids[0]}));
+  EXPECT_FALSE(EvalDnf(t, Dnf::False(), BindAtoms(t, atoms), {ids[0]}));
 }
 
 TEST(EvalProgram, CrossProductAndFilter) {

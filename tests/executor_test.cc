@@ -2,9 +2,12 @@
 
 #include <random>
 
+#include "common/thread_pool.h"
 #include "core/executor.h"
 #include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
+#include "testing/oracles.h"
 
 namespace mitra::core {
 namespace {
@@ -277,6 +280,120 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorPropertyTest,
 
 namespace mitra::core {
 namespace {
+
+/// The optimized executor (sequential and pooled) and the naive evaluator
+/// equal ReferenceEvalProgram on `p`, tuple for tuple and row for row.
+void ExpectAgreesWithReference(const hdt::Hdt& tree, const Program& p) {
+  common::ThreadPool pool(4);
+  const testing::CheckResult r =
+      testing::CheckExecutionEquivalence(tree, p, &pool);
+  EXPECT_TRUE(r.ok && !r.skipped) << r.failure;
+  auto want = dsl::ReferenceEvalProgram(tree, p);
+  auto got = ExecuteOptimized(tree, p);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  hdt::Table a = std::move(want).value(), b = std::move(got).value();
+  a.SortRows();
+  b.SortRows();
+  EXPECT_EQ(a.rows(), b.rows()) << dsl::ToString(p);
+}
+
+dsl::NodeExtractor ChildStep(const std::string& tag) {
+  return dsl::NodeExtractor{{{NodeOp::kChild, tag, 0}}};
+}
+
+TEST(OptimizedExecutor, ChildStepOnAbsentTagIsBottomEverywhere) {
+  // No element of kDoc is tagged `nope`: a step to it is ⊥ on every node,
+  // so its atom is false and its negation true.
+  hdt::Hdt t = ParseXmlOrDie(kDoc);
+  const ColumnExtractor ps{{{ColOp::kChildren, "p", 0}}};
+  for (bool negated : {false, true}) {
+    // A unary literal against a constant, and between two paths of one
+    // column.
+    Atom to_const;
+    to_const.lhs_col = 0;
+    to_const.lhs_path = ChildStep("nope");
+    to_const.op = CmpOp::kNe;
+    to_const.rhs_is_const = true;
+    to_const.rhs_const = "1";
+    Atom same_col;
+    same_col.lhs_col = 0;
+    same_col.lhs_path = ChildStep("nope");
+    same_col.op = CmpOp::kEq;
+    same_col.rhs_col = 0;
+    same_col.rhs_path = ChildStep("id");
+    for (const Atom& a : {to_const, same_col}) {
+      Program p;
+      p.columns = {ps};
+      p.atoms = {a};
+      p.formula = Dnf{{{Literal{0, negated}}}};
+      ExpectAgreesWithReference(t, p);
+    }
+    // A hash-join driver with the absent tag on the probing side and on
+    // the indexed side; then, behind a driver that holds, a check literal
+    // that names it.
+    for (bool absent_on_lhs : {true, false}) {
+      Program p;
+      p.columns = {ps, Fids()};
+      Atom join = JoinIdFid();
+      join.lhs_path = ChildStep(absent_on_lhs ? "nope" : "id");
+      join.rhs_path = absent_on_lhs ? dsl::NodeExtractor{} : ChildStep("nope");
+      p.atoms = {join};
+      p.formula = Dnf{{{Literal{0, negated}}}};
+      ExpectAgreesWithReference(t, p);
+    }
+    Program p;
+    p.columns = {Names(), Fids()};
+    Atom check = JoinIdFid();
+    check.op = CmpOp::kLe;
+    check.lhs_path.steps.push_back({NodeOp::kChild, "nope", 0});
+    p.atoms = {JoinIdFid(), check};
+    p.formula = Dnf{{{Literal{0, false}, Literal{1, negated}}}};
+    ExpectAgreesWithReference(t, p);
+  }
+}
+
+/// r → v* → x, the x leaves holding "10", "9", "3", "3.0", "-0", "0",
+/// "abc" and "", then one x with no data at all.
+hdt::Hdt ComparisonLeaves() {
+  hdt::HdtBuilder b;
+  const hdt::NodeId r = b.AddRoot("r");
+  for (const char* v : {"10", "9", "3", "3.0", "-0", "0", "abc", ""}) {
+    b.AddChild(b.AddChild(r, "v"), "x", v);
+  }
+  b.AddChild(b.AddChild(r, "v"), "x");
+  return b.Finish();
+}
+
+TEST(OptimizedExecutor, LeafComparisonsUnderEveryOperator) {
+  // Every ordered pair of leaves under every operator: numeric when both
+  // sides are numbers ("10" > "9", "3" = "3.0", "-0" = "0"), else
+  // lexicographic ("abc" > "10"), a data-less leaf comparing as "".
+  const hdt::Hdt t = ComparisonLeaves();
+  const ColumnExtractor vs{{{ColOp::kChildren, "v", 0}}};
+  const ColumnExtractor xs{
+      {{ColOp::kChildren, "v", 0}, {ColOp::kChildren, "x", 0}}};
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                   CmpOp::kGe}) {
+    for (bool negated : {false, true}) {
+      // The leaves themselves, and the leaves reached from their parents.
+      Program direct;
+      direct.columns = {xs, xs};
+      Atom a;
+      a.lhs_col = 0;
+      a.op = op;
+      a.rhs_col = 1;
+      direct.atoms = {a};
+      direct.formula = Dnf{{{Literal{0, negated}}}};
+      Program via = direct;
+      via.columns = {vs, vs};
+      via.atoms[0].lhs_path = ChildStep("x");
+      via.atoms[0].rhs_path = ChildStep("x");
+      ExpectAgreesWithReference(t, direct);
+      ExpectAgreesWithReference(t, via);
+    }
+  }
+}
 
 TEST(OptimizedExecutor, JoinGraphOrderingAvoidsCrossProduct) {
   // Motivating-example shape: both equalities involve column 2, so the

@@ -40,8 +40,10 @@ TEST(NodeExtractorEnum, ValidityNeverBottom) {
   ASSERT_TRUE(result.ok());
   auto sources = dsl::EvalColumn(t, NCol());
   for (const auto& ee : *result) {
+    const dsl::BoundNodeExtractor bound =
+        dsl::BindNodeExtractor(t, ee.extractor);
     for (size_t k = 0; k < sources.size(); ++k) {
-      hdt::NodeId m = dsl::EvalNodeExtractor(t, ee.extractor, sources[k]);
+      hdt::NodeId m = dsl::EvalNodeExtractor(t, bound, sources[k]);
       EXPECT_NE(m, hdt::kInvalidNode) << dsl::ToString(ee.extractor);
       EXPECT_EQ(m, ee.targets[0][k]);
     }

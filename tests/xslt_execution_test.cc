@@ -103,9 +103,10 @@ TEST(XsltInterpreter, QuotedConstantsAgreeWithNativeExecutor) {
   hdt::Hdt tree = test::ParseXmlOrDie(R"(<people>
   <p><name>O'Brien</name></p><p><name>AT&amp;T</name></p>
   <p><name>say "hi"</name></p><p><name>a&lt;b</name></p>
-  <p><name>Smith</name></p>
+  <p><name>Smith</name></p><p><name>a'b"c</name></p><p><name>'x"</name></p>
 </people>)");
-  for (const char* constant : {"O'Brien", "AT&T", "say \"hi\"", "a<b"}) {
+  for (const char* constant :
+       {"O'Brien", "AT&T", "say \"hi\"", "a<b", "a'b\"c", "'x\""}) {
     for (dsl::CmpOp op : {dsl::CmpOp::kEq, dsl::CmpOp::kNe}) {
       dsl::Program p;
       dsl::ColumnExtractor names;
@@ -125,7 +126,7 @@ TEST(XsltInterpreter, QuotedConstantsAgreeWithNativeExecutor) {
           << via_xslt.status().ToString() << "\n" << stylesheet;
       auto native = core::ExecuteOptimized(tree, p);
       ASSERT_TRUE(native.ok());
-      EXPECT_EQ(native->NumRows(), op == dsl::CmpOp::kEq ? 1u : 4u);
+      EXPECT_EQ(native->NumRows(), op == dsl::CmpOp::kEq ? 1u : 6u);
       EXPECT_EQ(SortedSet(via_xslt->rows()), SortedSet(native->rows()))
           << "stylesheet:\n" << stylesheet;
     }
