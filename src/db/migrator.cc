@@ -110,7 +110,7 @@ Result<MigrationReport> Migrator::LearnTolerant(
 }
 
 void Migrator::Install(const std::string& table, LearnedTable learned) {
-  programs_[table] = learned.program;
+  learned_.programs[table] = learned.program;
   example_tuples_[table] = std::move(learned.tuples);
   info_.push_back(
       TableSynthesisInfo{table, learned.seconds, std::move(learned.program)});
@@ -221,7 +221,7 @@ Status Migrator::LearnForeignKeysForTable(const TableDef& t,
             "could not learn foreign-key extractors for " + t.name + "." +
             t.columns[c].name + " → " + ref_name);
       }
-      fk_plans_[t.name][c] = std::move(plan);
+      learned_.fk_plans[t.name][c] = std::move(plan);
     }
   }
   return Status::OK();
@@ -230,7 +230,7 @@ Status Migrator::LearnForeignKeysForTable(const TableDef& t,
 Result<hdt::Table> Migrator::BuildTable(
     const TableDef& t, const hdt::Hdt& doc, int doc_index,
     const core::ExecuteOptions& exec_opts) const {
-  core::OptimizedExecutor exec(programs_.at(t.name));
+  core::OptimizedExecutor exec(learned_.programs.at(t.name));
   MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
                          exec.ExecuteNodes(doc, exec_opts));
 
@@ -248,7 +248,7 @@ Result<hdt::Table> Migrator::BuildTable(
   std::vector<ForeignKey> fks(t.columns.size());
   for (size_t c = 0; c < t.columns.size(); ++c) {
     if (t.columns[c].kind != ColumnKind::kForeignKey) continue;
-    fks[c].plan = &fk_plans_.at(t.name).at(c);
+    fks[c].plan = &learned_.fk_plans.at(t.name).at(c);
     for (const dsl::NodeExtractor& e : fks[c].plan->extractors) {
       fks[c].extractors.push_back(dsl::BindNodeExtractor(doc, e));
     }
@@ -290,80 +290,159 @@ Result<hdt::Table> Migrator::BuildTable(
   return out;
 }
 
-Status Migrator::InstallLearnedProgram(const std::string& table,
-                                       dsl::Program program) {
-  const TableDef* def = nullptr;
-  for (const TableDef& t : schema_.tables) {
-    if (t.name == table) {
-      def = &t;
-      break;
+Status LearnedMigration::Validate() const {
+  MITRA_RETURN_IF_ERROR(schema.Validate());
+  auto invalid = [](const std::string& what) {
+    return Status::InvalidArgument("learned migration: " + what);
+  };
+  for (const auto& [name, program] : programs) {
+    const TableDef* t = schema.FindTable(name);
+    if (t == nullptr) return invalid("program for unknown table " + name);
+    if (program.columns.size() != t->NumDataColumns()) {
+      return invalid("program arity differs from table " + name);
     }
   }
-  if (def == nullptr) {
-    return Status::InvalidArgument("InstallLearnedProgram: table '" + table +
-                                   "' not in schema");
-  }
-  for (const ColumnDef& c : def->columns) {
-    if (c.kind == ColumnKind::kForeignKey) {
-      return Status::InvalidArgument(
-          "InstallLearnedProgram: table '" + table +
-          "' has foreign-key columns; FK plans cannot be installed");
+  for (const auto& [name, plans] : fk_plans) {
+    if (programs.count(name) == 0) {
+      return invalid("foreign-key plans for table " + name +
+                     ", which has no program");
+    }
+    const TableDef& t = *schema.FindTable(name);
+    for (const auto& [c, plan] : plans) {
+      if (c >= t.columns.size() ||
+          t.columns[c].kind != ColumnKind::kForeignKey) {
+        return invalid("plan for a column of " + name +
+                       " that is not a foreign key");
+      }
+      const std::string& ref = t.columns[c].references;
+      if (programs.count(ref) == 0) {
+        return invalid("plan for " + name + "." + t.columns[c].name +
+                       " references table " + ref + ", which has no program");
+      }
+      const size_t arity = schema.FindTable(ref)->NumDataColumns();
+      if (plan.extractors.size() != arity || plan.source_cols.size() != arity) {
+        return invalid("plan for " + name + "." + t.columns[c].name +
+                       " has the wrong length for table " + ref);
+      }
+      for (int source : plan.source_cols) {
+        if (source < 0 || static_cast<size_t>(source) >= t.NumDataColumns()) {
+          return invalid("plan for " + name + "." + t.columns[c].name +
+                         " reads a source column out of range");
+        }
+      }
     }
   }
-  programs_[table] = std::move(program);
+  for (const TableDef& t : schema.tables) {
+    if (programs.count(t.name) == 0) continue;
+    auto plans = fk_plans.find(t.name);
+    for (size_t c = 0; c < t.columns.size(); ++c) {
+      if (t.columns[c].kind == ColumnKind::kForeignKey &&
+          (plans == fk_plans.end() || plans->second.count(c) == 0)) {
+        return invalid("no plan for foreign key " + t.name + "." +
+                       t.columns[c].name);
+      }
+    }
+  }
   return Status::OK();
+}
+
+/// One table's execution inside ExecuteTables: `table` stays unset when
+/// the table has no program or was skipped after a fail-fast failure.
+struct Migrator::TableExecution {
+  std::optional<Result<hdt::Table>> table;
+  double seconds = 0.0;
+  common::BudgetUsage usage;
+};
+
+Status Migrator::ExecuteTables(const hdt::Hdt& doc, int doc_index,
+                               const MigratorOptions& opts, bool fail_fast,
+                               std::vector<TableExecution>* runs) const {
+  const std::vector<TableDef>& tables = learned_.schema.tables;
+  *runs = std::vector<TableExecution>(tables.size());
+  // Cross-table memoization (§9): the per-table programs run over the
+  // same document and share column extractions through one thread-safe
+  // cache.
+  core::ColumnCache column_cache;
+  return common::ParallelForStatus(
+      opts.execute.pool, tables.size(), [&](size_t i) -> Status {
+        const TableDef& t = tables[i];
+        if (learned_.programs.count(t.name) == 0) return Status::OK();
+        // Per-table isolation: a fresh governor, a fresh budget.
+        common::Governor gov(opts.table_limits);
+        core::ExecuteOptions exec_opts = opts.execute;
+        exec_opts.governor = &gov;
+        if (exec_opts.column_cache == nullptr) {
+          exec_opts.column_cache = &column_cache;
+        }
+        TableExecution& run = (*runs)[i];
+        auto start = std::chrono::steady_clock::now();
+        run.table.emplace(BuildTable(t, doc, doc_index, exec_opts));
+        run.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        run.usage = gov.Usage();
+        if (!fail_fast || run.table->ok()) return Status::OK();
+        const Status& st = run.table->status();
+        return Status(st.code(), "execution failed for table " + t.name +
+                                     ": " + st.message());
+      });
 }
 
 Result<Database> Migrator::Execute(const hdt::Hdt& doc, int doc_index,
                                    const MigratorOptions& opts) const {
-  Database db;
-  // Cross-table memoization (§9): the per-table programs run over the
-  // same document and share column extractions through one cache.
-  core::ColumnCache column_cache;
-  core::ExecuteOptions exec_opts = opts.execute;
-  if (exec_opts.column_cache == nullptr) {
-    exec_opts.column_cache = &column_cache;
-  }
-  for (const TableDef& t : schema_.tables) {
-    if (programs_.find(t.name) == programs_.end()) {
+  for (const TableDef& t : learned_.schema.tables) {
+    if (learned_.programs.count(t.name) == 0) {
       return Status::InvalidArgument("Learn() was not run (table " + t.name +
                                      ")");
     }
   }
+  std::vector<TableExecution> runs;
+  MITRA_RETURN_IF_ERROR(
+      ExecuteTables(doc, doc_index, opts, /*fail_fast=*/true, &runs));
+  Database db;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    db.tables.emplace(learned_.schema.tables[i].name,
+                      std::move(**runs[i].table));
+  }
+  return db;
+}
 
-  // Per-table migration: executes the table's program and materializes
-  // rows with generated keys. Independent across tables (the shared
-  // column cache is thread-safe), so tables run on the pool when one is
-  // supplied, merged back in schema order.
-  const size_t num_tables = schema_.tables.size();
-  common::ThreadPool* pool = exec_opts.pool;
-  if (pool != nullptr && pool->size() > 1 && num_tables > 1) {
-    std::vector<std::optional<Result<hdt::Table>>> results(num_tables);
-    common::CancelToken* token = exec_opts.governor != nullptr
-                                     ? exec_opts.governor->token()
-                                     : nullptr;
-    MITRA_RETURN_IF_ERROR(common::ParallelForStatus(
-        pool, num_tables,
-        [&](size_t i) -> Status {
-          results[i].emplace(
-              BuildTable(schema_.tables[i], doc, doc_index, exec_opts));
-          return Status::OK();
-        },
-        token));
-    for (size_t i = 0; i < num_tables; ++i) {
-      if (!results[i].has_value()) {
-        // Skipped by cancellation: surface the cause.
-        return exec_opts.governor->token()->cause();
+Database Migrator::ExecuteTolerant(const hdt::Hdt& doc, int doc_index,
+                                   MigrationReport* report,
+                                   const MigratorOptions& opts) const {
+  MigrationReport scratch;
+  if (report == nullptr) report = &scratch;
+  std::vector<TableExecution> runs;
+  (void)ExecuteTables(doc, doc_index, opts, /*fail_fast=*/false, &runs);
+
+  Database db;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::string& name = learned_.schema.tables[i].name;
+    TableExecution& run = runs[i];
+    TableReport* tr = report->Find(name);
+    if (tr == nullptr) {
+      // After a strict Learn() there is no ladder record; a table with a
+      // program counts as rung-0 OK until execution says otherwise.
+      tr = &report->tables.emplace_back();
+      tr->table = name;
+      if (run.table) {
+        tr->outcome = TableOutcome::kOk;
+        tr->rung = 0;
+      } else {
+        tr->status = Status::InvalidArgument("Learn() produced no program");
       }
-      if (!(*results[i]).ok()) return results[i]->status();
-      db.tables.emplace(schema_.tables[i].name, std::move(**results[i]));
     }
-  } else {
-    for (const TableDef& t : schema_.tables) {
-      MITRA_ASSIGN_OR_RETURN(hdt::Table out,
-                             BuildTable(t, doc, doc_index, exec_opts));
-      db.tables.emplace(t.name, std::move(out));
+    if (!run.table) continue;
+    tr->execute_seconds += run.seconds;
+    tr->usage.Accumulate(run.usage);
+    if (!run.table->ok()) {
+      tr->outcome = TableOutcome::kFailed;
+      tr->status = run.table->status();
+      tr->retry_trail.push_back("execute: " + tr->status.ToString());
+      continue;
     }
+    tr->rows_emitted += (*run.table)->NumRows();
+    db.tables.emplace(name, std::move(**run.table));
   }
   return db;
 }
@@ -539,9 +618,9 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
     const MigratorOptions& opts, Status* why) const {
   *why = Status::OK();
   if (opts.program_cache == nullptr) return std::nullopt;
-  std::optional<CachedProgram> entry =
+  std::optional<dsl::Program> program =
       opts.program_cache->Lookup(ProgramCacheKey(tree, example));
-  if (!entry.has_value()) return std::nullopt;
+  if (!program.has_value()) return std::nullopt;
   // Re-verify against the example under a bounded governor, mirroring the
   // synthesizer's own consistency check (VerifyProgram): a poisoned or
   // colliding entry must read as a miss, never emit wrong tables, and
@@ -554,15 +633,15 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
   auto start = std::chrono::steady_clock::now();
   LearnedTable learned;
   Status st = [&]() -> Status {
-    if (entry->program.columns.size() != example.NumCols()) {
+    if (program->columns.size() != example.NumCols()) {
       return Status::InvalidArgument(
-          "cached program has " + std::to_string(entry->program.columns.size()) +
+          "cached program has " + std::to_string(program->columns.size()) +
           " columns, example has " + std::to_string(example.NumCols()));
     }
     dsl::EvalOptions ev = opts.synthesis.predicate.eval;
     ev.governor = &gov;
     MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                           dsl::EvalProgramNodeTuples(tree, entry->program, ev));
+                           dsl::EvalProgramNodeTuples(tree, *program, ev));
     if (tuples.empty()) {
       return Status::SynthesisFailure("cached program for table " + t.name +
                                       " yields no example rows");
@@ -581,7 +660,7 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
           "cached program for table " + t.name +
           " is inconsistent with the example");
     }
-    learned.program = std::move(entry->program);
+    learned.program = std::move(*program);
     learned.tuples = std::move(tuples);
     return Status::OK();
   }();
@@ -595,29 +674,15 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
   return learned;
 }
 
-void Migrator::StoreCachedProgram(const hdt::Hdt& tree,
-                                  const hdt::Table& example,
-                                  const MigratorOptions& opts,
-                                  const core::SynthesisResult& result) {
-  if (opts.program_cache == nullptr) return;
-  CachedProgram entry;
-  entry.program = result.program;
-  entry.synthesis_seconds = result.stats.seconds;
-  entry.table_extractors_tried = result.stats.table_extractors_tried;
-  entry.table_extractors_consistent = result.stats.table_extractors_consistent;
-  // Best effort: a full cache disk or injected I/O fault must not fail a
-  // migration that already has its program.
-  (void)opts.program_cache->Store(ProgramCacheKey(tree, example), entry);
-}
-
 /// One table's learning state between LearnTables' passes. The cache
 /// lookup or RunLadder fills it (RunLadder possibly on a pool thread); the
 /// calling thread then applies it to the migrator and the report.
 struct Migrator::TableAttempt {
   TableReport report;
   std::optional<LearnedTable> learned;
-  /// The rung-0 synthesis result, for the program cache.
-  std::optional<core::SynthesisResult> synthesized;
+  /// True when rung 0 synthesized `learned`: only full-budget programs go
+  /// into the program cache.
+  bool cacheable = false;
   /// The last rung's error when no rung learned the table.
   Status status;
 };
@@ -636,8 +701,7 @@ void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
   // a later, better-budgeted run would synthesize (the key excludes
   // budgets).
   auto synthesize = [&](const core::SynthesisOptions& sopts,
-                        common::Governor* gov,
-                        bool keep_result) -> Result<LearnedTable> {
+                        common::Governor* gov) -> Result<LearnedTable> {
     core::SynthesisOptions governed = sopts;
     governed.governor = gov;
     MITRA_ASSIGN_OR_RETURN(core::SynthesisResult result,
@@ -651,8 +715,7 @@ void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
       return Status::SynthesisFailure("program for table " + t.name +
                                       " yields no example rows");
     }
-    learned.program = result.program;
-    if (keep_result) out->synthesized = std::move(result);
+    learned.program = std::move(result.program);
     return learned;
   };
 
@@ -715,8 +778,7 @@ void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
     common::Governor gov(limits);
     auto start = std::chrono::steady_clock::now();
     Result<LearnedTable> learned =
-        rung < 2 ? synthesize(sopts, &gov, /*keep_result=*/rung == 0)
-                 : project(&gov);
+        rung < 2 ? synthesize(sopts, &gov) : project(&gov);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -725,6 +787,7 @@ void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
     if (learned.ok()) {
       learned->seconds = seconds;
       out->learned = std::move(*learned);
+      out->cacheable = rung == 0;
       out->report.outcome = kRungOutcome[rung];
       out->report.rung = rung;
       out->status = Status::OK();
@@ -740,9 +803,10 @@ Result<MigrationReport> Migrator::LearnTables(
     const hdt::Hdt& tree,
     const std::map<std::string, hdt::Table>& table_examples,
     const MigratorOptions& opts, int num_rungs) {
-  MITRA_RETURN_IF_ERROR(schema_.Validate());
-  programs_.clear();
-  fk_plans_.clear();
+  const DatabaseSchema& schema = learned_.schema;
+  MITRA_RETURN_IF_ERROR(schema.Validate());
+  learned_.programs.clear();
+  learned_.fk_plans.clear();
   example_tuples_.clear();
   info_.clear();
   // A full-budget-only run fails fast with the error a sequential loop
@@ -754,7 +818,7 @@ Result<MigrationReport> Migrator::LearnTables(
   // first malformed example, then the cache lookups.
   std::vector<const hdt::Table*> examples;
   Status malformed;
-  for (const TableDef& t : schema_.tables) {
+  for (const TableDef& t : schema.tables) {
     auto it = table_examples.find(t.name);
     if (it == table_examples.end()) {
       malformed = Status::InvalidArgument("no example for table " + t.name);
@@ -778,13 +842,13 @@ Result<MigrationReport> Migrator::LearnTables(
   std::vector<size_t> misses;
   for (size_t i = 0; i < examples.size(); ++i) {
     TableAttempt& a = attempts[i];
-    a.report.table = schema_.tables[i].name;
+    a.report.table = schema.tables[i].name;
     // A verified hit is a rung-0 result (only full-budget programs are
     // ever stored) with no synthesis run at all.
     Status why;
     auto start = std::chrono::steady_clock::now();
     a.learned =
-        LookupCachedProgram(schema_.tables[i], tree, *examples[i], opts, &why);
+        LookupCachedProgram(schema.tables[i], tree, *examples[i], opts, &why);
     a.report.learn_seconds += std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - start)
                                   .count();
@@ -813,7 +877,7 @@ Result<MigrationReport> Migrator::LearnTables(
   (void)common::ParallelForStatus(
       pool ? &*pool : nullptr, misses.size(), [&](size_t m) -> Status {
         const size_t i = misses[m];
-        RunLadder(schema_.tables[i], tree, *examples[i], opts, num_rungs,
+        RunLadder(schema.tables[i], tree, *examples[i], opts, num_rungs,
                   &attempts[i]);
         return fail_fast ? attempts[i].status : Status::OK();
       });
@@ -833,10 +897,13 @@ Result<MigrationReport> Migrator::LearnTables(
       a.report.outcome = TableOutcome::kFailed;
       a.report.status = a.status;
     } else {
-      Install(a.report.table, std::move(*a.learned));
-      if (a.synthesized) {
-        StoreCachedProgram(tree, *examples[i], opts, *a.synthesized);
+      if (a.cacheable && opts.program_cache != nullptr) {
+        // Best effort: a full cache disk or injected I/O fault must not
+        // fail a migration that already has its program.
+        (void)opts.program_cache->Store(ProgramCacheKey(tree, *examples[i]),
+                                        a.learned->program);
       }
+      Install(a.report.table, std::move(*a.learned));
     }
     report.tables.push_back(std::move(a.report));
   }
@@ -850,7 +917,7 @@ Result<MigrationReport> Migrator::LearnTables(
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const TableDef& t : schema_.tables) {
+    for (const TableDef& t : schema.tables) {
       TableReport* tr = report.Find(t.name);
       if (!TableIsLive(tr)) continue;
       bool has_fk = false;
@@ -864,7 +931,8 @@ Result<MigrationReport> Migrator::LearnTables(
               "skipped: referenced table " + ref + " is unavailable");
           tr->retry_trail.push_back("fk: referenced table " + ref +
                                     " unavailable");
-          programs_.erase(t.name);
+          learned_.programs.erase(t.name);
+          learned_.fk_plans.erase(t.name);
           changed = true;
           break;
         }
@@ -879,71 +947,13 @@ Result<MigrationReport> Migrator::LearnTables(
         tr->outcome = TableOutcome::kFailed;
         tr->status = st;
         tr->retry_trail.push_back("fk: " + st.ToString());
-        programs_.erase(t.name);
+        learned_.programs.erase(t.name);
+        learned_.fk_plans.erase(t.name);
         changed = true;
       }
     }
   }
   return report;
-}
-
-Database Migrator::ExecuteTolerant(const hdt::Hdt& doc, int doc_index,
-                                   MigrationReport* report,
-                                   const MigratorOptions& opts) const {
-  MigrationReport scratch;
-  if (report == nullptr) report = &scratch;
-
-  Database db;
-  // Cross-table memoization as in Execute().
-  core::ColumnCache column_cache;
-  for (const TableDef& t : schema_.tables) {
-    TableReport* tr = report->Find(t.name);
-    if (tr == nullptr) {
-      TableReport fresh;
-      fresh.table = t.name;
-      // After a strict Learn() there is no ladder record; a table with a
-      // program counts as rung-0 OK until execution says otherwise.
-      if (programs_.count(t.name) != 0) {
-        fresh.outcome = TableOutcome::kOk;
-        fresh.rung = 0;
-      } else {
-        fresh.outcome = TableOutcome::kSkipped;
-        fresh.status =
-            Status::InvalidArgument("Learn() produced no program");
-      }
-      report->tables.push_back(std::move(fresh));
-      tr = &report->tables.back();
-    }
-    if (!TableIsLive(tr)) continue;
-    if (programs_.count(t.name) == 0) {
-      tr->outcome = TableOutcome::kSkipped;
-      tr->status = Status::InvalidArgument("Learn() produced no program");
-      continue;
-    }
-
-    // Per-table isolation: fresh governor, fresh budget.
-    common::Governor gov(opts.table_limits);
-    core::ExecuteOptions exec_opts = opts.execute;
-    exec_opts.governor = &gov;
-    if (exec_opts.column_cache == nullptr) {
-      exec_opts.column_cache = &column_cache;
-    }
-    auto start = std::chrono::steady_clock::now();
-    Result<hdt::Table> built = BuildTable(t, doc, doc_index, exec_opts);
-    tr->execute_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    tr->usage.Accumulate(gov.Usage());
-    if (!built.ok()) {
-      tr->outcome = TableOutcome::kFailed;
-      tr->status = built.status();
-      tr->retry_trail.push_back("execute: " + built.status().ToString());
-      continue;
-    }
-    tr->rows_emitted += built->NumRows();
-    db.tables.emplace(t.name, std::move(*built));
-  }
-  return db;
 }
 
 }  // namespace mitra::db

@@ -54,30 +54,23 @@ struct TableSynthesisInfo {
   dsl::Program program;
 };
 
-/// A cached synthesis result: the program plus the stats snapshot worth
-/// keeping across runs (what the batch report surfaces for a hit).
-struct CachedProgram {
-  dsl::Program program;
-  double synthesis_seconds = 0.0;
-  std::uint64_t table_extractors_tried = 0;
-  std::uint64_t table_extractors_consistent = 0;
-};
-
 /// Content-addressed program cache consulted by the learning paths (ISSUE
-/// 8). Keys are opaque strings produced by ProgramCacheKey(); a Lookup hit
-/// bypasses synthesis entirely once the migrator has re-verified the
-/// program against the example (so a poisoned entry can never emit wrong
-/// tables — it falls back to fresh synthesis and is overwritten). The
-/// on-disk implementation lives in pipeline/program_cache.h; this
-/// interface keeps db/ free of that dependency.
+/// 8). Keys are opaque strings produced by ProgramCacheKey() and values
+/// are synthesized programs; a Lookup hit bypasses synthesis entirely once
+/// the migrator has re-verified the program against the example (so a
+/// poisoned entry can never emit wrong tables — it falls back to fresh
+/// synthesis and is overwritten). The on-disk implementation lives in
+/// pipeline/program_cache.h; this interface keeps db/ free of that
+/// dependency.
 class ProgramCache {
  public:
   virtual ~ProgramCache() = default;
-  /// Returns the entry for `key`, or nullopt on miss *or* on any
+  /// Returns the program stored for `key`, or nullopt on miss *or* on any
   /// integrity failure (corrupt entries must read as misses, not errors).
-  virtual std::optional<CachedProgram> Lookup(const std::string& key) = 0;
-  /// Stores (or overwrites) the entry for `key`.
-  virtual Status Store(const std::string& key, const CachedProgram& entry) = 0;
+  virtual std::optional<dsl::Program> Lookup(const std::string& key) = 0;
+  /// Stores (or overwrites) the program for `key`.
+  virtual Status Store(const std::string& key,
+                       const dsl::Program& program) = 0;
 };
 
 /// The cache key for one (example tree, example table) synthesis task:
@@ -92,14 +85,20 @@ struct MigratorOptions {
   core::SynthesisOptions synthesis;
   /// Node-extractor search depth for foreign-key learning.
   int fk_max_depth = 4;
+  /// Execution options for Execute and ExecuteTolerant. When `pool` is set
+  /// the tables of a document run on it concurrently (and each table's
+  /// executor chunks its scans over it). The Migrator reads no
+  /// `execute.governor`: each table runs under its own, from
+  /// `table_limits`.
   core::ExecuteOptions execute;
-  /// Per-table resource budgets for every learning path (Learn,
-  /// LearnTolerant) and for ExecuteTolerant: each table gets a *fresh*
+  /// Per-table resource budgets for every entry point (Learn,
+  /// LearnTolerant, Execute, ExecuteTolerant): each table gets a *fresh*
   /// Governor per ladder rung, per foreign-key search and per execution,
   /// so one runaway or poisoned table exhausts its own budget without
   /// starving the others. When no deadline is set here, the synthesis time
-  /// limit is each rung's deadline. The Migrator reads no
-  /// `synthesis.limits` and sets `synthesis.governor` itself.
+  /// limit is each rung's deadline. The default limits are unlimited. The
+  /// Migrator reads no `synthesis.limits` and sets `synthesis.governor`
+  /// itself.
   common::ResourceLimits table_limits;
   /// Optional program cache (not owned; must outlive the call). When set,
   /// Learn/LearnTolerant consult it before synthesizing each table and
@@ -167,12 +166,41 @@ struct MigrationReport {
   std::string ToJson() const;
 };
 
+/// A migration's learned state: everything execution needs, and nothing
+/// only learning reads. The Migrator holds one, and a process-isolated
+/// batch worker receives one whole in its init frame (pipeline/worker.h),
+/// so both run the same programs and foreign-key plans.
+///
+/// A table is live iff it has a program: learning installs no program for
+/// a table that fails, and erases the program (and any plans) of a table
+/// its foreign-key cascade skips or fails.
+struct LearnedMigration {
+  DatabaseSchema schema;
+  /// Each live table's program; its arity is the table's data columns.
+  std::map<std::string, dsl::Program> programs;
+  /// fk_plans[table][column index] for each kForeignKey column of a live
+  /// table.
+  std::map<std::string, std::map<size_t, ForeignKeyPlan>> fk_plans;
+
+  /// Checks what execution relies on without checking: a valid schema;
+  /// programs only for schema tables, each with the table's data-column
+  /// arity; plans only for live tables' foreign-key columns, every such
+  /// column with one; each plan as long as its referenced table's arity,
+  /// that table live, and every source column a data column of the
+  /// plan's own table.
+  Status Validate() const;
+};
+
 /// Learns and executes a whole-database migration. Documents are read
 /// only: a tree is indexed when it is built, so every table's execution
 /// and foreign-key learning share that one index.
 class Migrator {
  public:
-  explicit Migrator(DatabaseSchema schema) : schema_(std::move(schema)) {}
+  explicit Migrator(DatabaseSchema schema)
+      : Migrator(LearnedMigration{std::move(schema), {}, {}}) {}
+  /// A migrator that only executes `learned`, which must pass
+  /// LearnedMigration::Validate (execution does not check again).
+  explicit Migrator(LearnedMigration learned) : learned_(std::move(learned)) {}
 
   /// Learns one program per table from a single database example: a
   /// document plus, per table, the expected *data columns* (key columns
@@ -191,7 +219,14 @@ class Migrator {
                const MigratorOptions& opts = {});
 
   /// Migrates one document, producing all tables with generated keys.
-  /// `doc_index` disambiguates keys across multi-document datasets.
+  /// `doc_index` disambiguates keys across multi-document datasets. Every
+  /// table must have a program. Execute and ExecuteTolerant share one
+  /// implementation: each table runs under a fresh
+  /// Governor(opts.table_limits), on `opts.execute.pool` when one is
+  /// given, and all of them share one column cache. Execute fails fast:
+  /// after the first failure unclaimed tables are skipped, and the error
+  /// is the first failing table's in schema order ("execution failed for
+  /// table T: …"), so every thread count returns the same error.
   Result<Database> Execute(const hdt::Hdt& doc, int doc_index = 0,
                            const MigratorOptions& opts = {}) const;
 
@@ -206,35 +241,30 @@ class Migrator {
       const std::map<std::string, hdt::Table>& table_examples,
       const MigratorOptions& opts = {});
 
-  /// Fault-tolerant Execute of one document: each table runs under a
-  /// fresh per-table governor; a failing table is marked kFailed in
+  /// Fault-tolerant Execute of one document: every table with a program
+  /// runs, as in Execute, and a failing table is marked kFailed in
   /// `report` (with its cause and an "execute: …" trail entry) while the
   /// remaining tables are still emitted, bit-identical to a run without
-  /// the failing table. `doc_index` is Execute's. `report` entries are
-  /// matched by table name and created when missing (e.g. after a strict
-  /// Learn); pass nullptr to discard the per-table records.
+  /// the failing table. Tables run concurrently when `opts.execute.pool`
+  /// is set, so `execute_seconds` is then wall time under contention.
+  /// `doc_index` is Execute's. `report` entries are matched by table name
+  /// and created when missing (e.g. after a strict Learn); execution,
+  /// rows and usage accumulate into them, and a failure recorded by an
+  /// earlier call stays recorded. The report never decides what runs.
+  /// Pass nullptr to discard the per-table records.
   Database ExecuteTolerant(const hdt::Hdt& doc, int doc_index,
                            MigrationReport* report,
                            const MigratorOptions& opts = {}) const;
 
-  /// Installs an already-learned program for `table`, making the
-  /// execution paths usable without a Learn call on this instance. This
-  /// is how a process-isolated batch worker rebuilds execution state: the
-  /// supervisor learns once, ships each live table's program in the
-  /// paper's λ-syntax over IPC (the DSL round-trip invariant makes the
-  /// printed form a faithful wire format), and the worker installs it
-  /// here. Only data-only tables are installable — foreign-key columns
-  /// need FK plans, which have no wire format (and the batch pipeline
-  /// builds data-only schemas).
-  Status InstallLearnedProgram(const std::string& table, dsl::Program program);
-
+  /// The learned state: schema, live tables' programs, foreign-key plans.
+  const LearnedMigration& learned() const { return learned_; }
   const std::vector<TableSynthesisInfo>& info() const { return info_; }
   /// fk_plans()[table][column index] for kForeignKey columns.
   const std::map<std::string, std::map<size_t, ForeignKeyPlan>>& fk_plans()
       const {
-    return fk_plans_;
+    return learned_.fk_plans;
   }
-  const DatabaseSchema& schema() const { return schema_; }
+  const DatabaseSchema& schema() const { return learned_.schema; }
 
  private:
   /// A learned program with its example node tuples and the seconds it
@@ -254,10 +284,6 @@ class Migrator {
                                                   const hdt::Table& example,
                                                   const MigratorOptions& opts,
                                                   Status* why) const;
-  /// Stores a freshly synthesized full-budget program.
-  void StoreCachedProgram(const hdt::Hdt& tree, const hdt::Table& example,
-                          const MigratorOptions& opts,
-                          const core::SynthesisResult& result);
   Status LearnForeignKeysForTable(const TableDef& t, const hdt::Hdt& tree,
                                   const MigratorOptions& opts,
                                   common::Governor* gov);
@@ -278,11 +304,17 @@ class Migrator {
   Result<hdt::Table> BuildTable(const TableDef& t, const hdt::Hdt& doc,
                                 int doc_index,
                                 const core::ExecuteOptions& exec_opts) const;
+  struct TableExecution;
+  /// The one execution routine behind Execute (fail fast: the first
+  /// failure in schema order is returned and unclaimed tables are skipped)
+  /// and ExecuteTolerant (every table with a program runs). Writes only
+  /// `(*runs)[i]` per schema table i, so tables can run concurrently; the
+  /// caller applies them in schema order.
+  Status ExecuteTables(const hdt::Hdt& doc, int doc_index,
+                       const MigratorOptions& opts, bool fail_fast,
+                       std::vector<TableExecution>* runs) const;
 
-  DatabaseSchema schema_;
-  std::map<std::string, dsl::Program> programs_;
-  /// fk_plans_[table][column index] for kForeignKey columns.
-  std::map<std::string, std::map<size_t, ForeignKeyPlan>> fk_plans_;
+  LearnedMigration learned_;
   /// Example node tuples per table (kept between Learn phases).
   std::map<std::string, std::vector<dsl::NodeTuple>> example_tuples_;
   std::vector<TableSynthesisInfo> info_;

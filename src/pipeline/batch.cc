@@ -6,7 +6,6 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <set>
 
 #include "common/csv.h"
@@ -25,11 +24,10 @@ namespace mitra::pipeline {
 namespace {
 
 /// Journal format v2: per-`done` line CRC-32 over the document's shard
-/// bytes (concatenated in live-table order), plus `quarantine` lines.
-/// v1 journals (no CRC, no quarantine) are still read — their documents
-/// are validated by re-parse only — and the next write upgrades to v2.
-constexpr std::string_view kJournalMagicV1 = "mitra-batch-journal v1";
-constexpr std::string_view kJournalMagicV2 = "mitra-batch-journal v2";
+/// bytes (concatenated in live-table order), plus `quarantine` lines. Any
+/// other magic (a v1 journal included) reads as a stale journal: every
+/// document re-executes.
+constexpr std::string_view kJournalMagic = "mitra-batch-journal v2";
 
 /// Joins a base directory and a path, keeping absolute paths as-is.
 std::string Resolve(const std::string& base_dir, const std::string& path) {
@@ -111,29 +109,6 @@ class BatchHasher {
   std::uint64_t h2_ = 1469598103934665603ULL;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -147,16 +122,15 @@ std::string Crc32Hex(std::uint32_t crc) {
 }
 
 /// Everything the journal tells a resuming run. `done` maps document
-/// index to the recorded shard CRC (nullopt for v1 entries, which carry
-/// none).
+/// index to the recorded shard CRC.
 struct JournalState {
   bool valid = false;
-  std::map<size_t, std::optional<std::uint32_t>> done;
+  std::map<size_t, std::uint32_t> done;
   std::set<size_t> quarantined;
 };
 
-/// Parses a journal (v1 or v2) against the expected batch key and fleet.
-/// Any structural violation invalidates the whole journal — resuming from
+/// Parses a journal against the expected batch key and fleet. Any
+/// structural violation invalidates the whole journal — resuming from
 /// garbage must degrade to a full (benign) re-run, never to corruption.
 JournalState ParseJournal(const std::string& content,
                           const std::string& batch_key,
@@ -172,14 +146,12 @@ JournalState ParseJournal(const std::string& content,
     pos = nl + 1;
     return true;
   };
-  if (!next_line(&line)) return js;
-  const bool v2 = line == kJournalMagicV2;
-  if (!v2 && line != kJournalMagicV1) return js;
+  if (!next_line(&line) || line != kJournalMagic) return js;
   if (!next_line(&line) || line != "batch " + batch_key) return js;
   while (next_line(&line)) {
     if (line.empty()) continue;
     bool is_done = line.compare(0, 5, "done ") == 0;
-    bool is_quarantine = v2 && line.compare(0, 11, "quarantine ") == 0;
+    bool is_quarantine = line.compare(0, 11, "quarantine ") == 0;
     if (!is_done && !is_quarantine) return js;
     size_t field = is_done ? 5 : 11;
     size_t sp = line.find(' ', field);
@@ -187,9 +159,9 @@ JournalState ParseJournal(const std::string& content,
     size_t index =
         std::strtoull(line.substr(field, sp - field).c_str(), nullptr, 10);
     if (index >= documents.size()) return js;
-    std::optional<std::uint32_t> crc;
-    if (is_done && v2) {
-      // v2: "done <index> <crc8hex> <path>".
+    std::uint32_t crc = 0;
+    if (is_done) {
+      // "done <index> <crc8hex> <path>".
       size_t crc_end = line.find(' ', sp + 1);
       if (crc_end == std::string::npos || crc_end - sp - 1 != 8) return js;
       const std::string hex = line.substr(sp + 1, 8);
@@ -216,13 +188,13 @@ std::string QuarantineReportPath(const std::string& qdir, size_t index) {
 /// One worker death as JSON — the `hard_fault` block of the quarantine
 /// report (schema documented in README).
 std::string HardFaultJson(const HardFaultInfo& f, size_t worker_deaths) {
-  std::string out = "{\"kind\":\"" + JsonEscape(f.kind) + "\"";
+  std::string out = "{\"kind\":\"" + json::EscapeJsonString(f.kind) + "\"";
   out += ",\"signal\":" + std::to_string(f.signal);
   if (f.signal != 0) {
     out += ",\"signal_name\":\"" + common::SignalName(f.signal) + "\"";
   }
   out += ",\"exit_code\":" + std::to_string(f.exit_code);
-  out += ",\"last_phase\":\"" + JsonEscape(f.last_phase) + "\"";
+  out += ",\"last_phase\":\"" + json::EscapeJsonString(f.last_phase) + "\"";
   out += ",\"seconds_since_heartbeat\":" +
          JsonDouble(f.seconds_since_heartbeat);
   out += ",\"max_rss_kb\":" + std::to_string(f.max_rss_kb);
@@ -240,14 +212,14 @@ std::string HardFaultJson(const HardFaultInfo& f, size_t worker_deaths) {
 /// diagnostics — so an operator can tell a poison document from a flaky
 /// environment without re-running the fleet.
 std::string QuarantineReportJson(const DocReport& dr) {
-  std::string out = "{\"path\":\"" + JsonEscape(dr.path) + "\"";
+  std::string out = "{\"path\":\"" + json::EscapeJsonString(dr.path) + "\"";
   out += ",\"index\":" + std::to_string(dr.index);
-  out += ",\"status\":\"" + JsonEscape(dr.status.ToString()) + "\"";
+  out += ",\"status\":\"" + json::EscapeJsonString(dr.status.ToString()) + "\"";
   out += ",\"attempts\":" + std::to_string(dr.attempts);
   out += ",\"retry_trail\":[";
   for (size_t i = 0; i < dr.retry_trail.size(); ++i) {
     if (i > 0) out += ',';
-    out += "\"" + JsonEscape(dr.retry_trail[i]) + "\"";
+    out += "\"" + json::EscapeJsonString(dr.retry_trail[i]) + "\"";
   }
   out += "]";
   if (!dr.hard_faults.empty()) {
@@ -385,25 +357,26 @@ bool BatchReport::complete() const {
 std::string BatchReport::ToJson() const {
   std::string out = "{\"complete\":";
   out += complete() ? "true" : "false";
-  out += ",\"batch_key\":\"" + JsonEscape(batch_key) + "\"";
+  out += ",\"batch_key\":\"" + json::EscapeJsonString(batch_key) + "\"";
   out += ",\"docs_done\":" + std::to_string(docs_done());
   out += ",\"docs_resumed\":" + std::to_string(docs_resumed());
   out += ",\"docs_failed\":" + std::to_string(docs_failed());
   out += ",\"docs_quarantined\":" + std::to_string(docs_quarantined());
   if (!journal_status.ok()) {
     out += ",\"journal_write_failed\":\"" +
-           JsonEscape(journal_status.ToString()) + "\"";
+           json::EscapeJsonString(journal_status.ToString()) + "\"";
   }
   out += ",\"learn\":" + learn.ToJson();
   out += ",\"docs\":[";
   for (size_t i = 0; i < docs.size(); ++i) {
     const DocReport& d = docs[i];
     if (i > 0) out += ',';
-    out += "{\"path\":\"" + JsonEscape(d.path) + "\"";
+    out += "{\"path\":\"" + json::EscapeJsonString(d.path) + "\"";
     out += ",\"index\":" + std::to_string(d.index);
     out += ",\"outcome\":\"";
     out += DocOutcomeName(d.outcome);
-    out += "\",\"status\":\"" + JsonEscape(d.status.message()) + "\"";
+    out += "\",\"status\":\"" + json::EscapeJsonString(d.status.message()) +
+           "\"";
     out += ",\"seconds\":" + JsonDouble(d.seconds);
     out += ",\"rows_emitted\":" + std::to_string(d.rows_emitted);
     out += ",\"attempts\":" + std::to_string(d.attempts);
@@ -418,7 +391,7 @@ std::string BatchReport::ToJson() const {
       out += ",\"retry_trail\":[";
       for (size_t t = 0; t < d.retry_trail.size(); ++t) {
         if (t > 0) out += ',';
-        out += "\"" + JsonEscape(d.retry_trail[t]) + "\"";
+        out += "\"" + json::EscapeJsonString(d.retry_trail[t]) + "\"";
       }
       out += "]";
     }
@@ -431,7 +404,8 @@ std::string BatchReport::ToJson() const {
     for (const auto& [name, value] : metrics) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + JsonEscape(name) + "\":" + std::to_string(value);
+      out += "\"" + json::EscapeJsonString(name) +
+             "\":" + std::to_string(value);
     }
     out += "}";
   }
@@ -519,7 +493,7 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
 
   // ---- Journal: resume completed documents, honor quarantine. ----
   // A resumed document's shards are re-read and re-validated: ParseCsv
-  // plus (journal v2) a CRC-32 match over the shard bytes, so a
+  // plus a CRC-32 match over the shard bytes, so a
   // torn-but-parseable shard is detected and demoted back to execution
   // instead of silently corrupting the merged output. Anything off —
   // stale batch key, missing shard, CRC mismatch — demotes the document.
@@ -554,7 +528,7 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
             crc = Crc32(shard->data(), shard->size(), crc);
             rows += parsed->size();
           }
-          if (shards_ok && recorded_crc.has_value() && crc != *recorded_crc) {
+          if (shards_ok && crc != recorded_crc) {
             // Torn-but-parseable shard: the bytes on disk are not the
             // bytes the journal committed. Re-execute the document.
             MITRA_COUNT("pipeline/journal/crc_mismatch", 1);
@@ -589,7 +563,7 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
   std::set<size_t> quarantine_set = journal_quarantined;
   auto write_journal_locked = [&]() {
     if (opts.journal.empty()) return;
-    std::string out(kJournalMagicV2);
+    std::string out(kJournalMagic);
     out += "\nbatch " + report.batch_key + "\n";
     for (size_t d : done_set) {
       out += "done " + std::to_string(d) + " " + Crc32Hex(shard_crcs[d]) +
@@ -674,52 +648,27 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
   };
 
   if (opts.isolation == IsolationMode::kProcess) {
-    // Ship the learned programs to sandboxed workers (λ-syntax via
-    // dsl::ToString — the printer/parser round-trip is the wire format);
-    // workers never re-learn, so output is deterministic at any worker
-    // count. The supervisor stays the sole journal writer: workers only
-    // write their own shards.
+    // Ship the learned migration to sandboxed workers (programs and
+    // node extractors in the DSL's printed syntax — the printer/parser
+    // round-trip is the wire format); workers never re-learn, so output
+    // is deterministic at any worker count. The supervisor stays the sole
+    // journal writer: workers only write their own shards.
     WorkerInit init;
     init.outdir = opts.outdir;
     init.table_limits = mopts.table_limits;
     init.retry = opts.retry;
-    for (const std::string& name : live) {
-      WorkerInitTable t;
-      t.name = name;
-      for (const db::TableDef& td : schema.tables) {
-        if (td.name == name) t.num_cols = td.columns.size();
-      }
-      for (const db::TableSynthesisInfo& si : migrator.info()) {
-        if (si.table == name) t.program = dsl::ToString(si.program);
-      }
-      if (t.program.empty()) {
-        return Status::Internal("no learned program to ship for table " +
-                                name);
-      }
-      init.tables.push_back(std::move(t));
-    }
+    init.migration = migrator.learned();
     MITRA_RETURN_IF_ERROR(RunWorkerFleet(manifest.documents, to_execute,
                                          init, opts.worker_pool, finish_doc));
   } else {
     FleetExecContext ctx;
     ctx.migrator = &migrator;
-    ctx.learn = &report.learn;
-    ctx.live = &live;
     ctx.migrator_options = mopts;
     ctx.outdir = opts.outdir;
     ctx.retry = opts.retry;
     common::ParallelFor(opts.pool, to_execute.size(), [&](size_t i) {
       const size_t d = to_execute[i];
-      FleetDocResult res =
-          ExecuteFleetDocument(ctx, d, manifest.documents[d]);
-      FleetDocOutcome out;
-      out.status = res.retry.status;
-      out.rows = res.rows;
-      out.shard_crc = res.shard_crc;
-      out.attempts = res.retry.attempts;
-      out.trail = std::move(res.retry.trail);
-      out.seconds = res.seconds;
-      finish_doc(d, std::move(out));
+      finish_doc(d, ExecuteFleetDocument(ctx, d, manifest.documents[d]));
     });
   }
 

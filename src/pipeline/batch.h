@@ -35,9 +35,8 @@
 /// restart validates the journal against the batch key (example + schema
 /// + fleet + DSL version) and re-reads completed documents' shards,
 /// demoting any CRC mismatch back to execution instead of trusting a
-/// torn-but-parseable shard. v1 journals (no CRC) are still accepted —
-/// their documents are validated by re-parse only and the next journal
-/// write upgrades the file to v2.
+/// torn-but-parseable shard. A journal in any other format (v1 included)
+/// reads as stale: every document re-executes.
 ///
 /// Self-healing: per-document work (read, parse, execute, shard write)
 /// runs under a common::RetryPolicy — transient faults

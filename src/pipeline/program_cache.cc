@@ -1,7 +1,7 @@
 #include "pipeline/program_cache.h"
 
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "common/fs.h"
 #include "common/strings.h"
@@ -12,7 +12,7 @@ namespace mitra::pipeline {
 
 namespace {
 
-constexpr std::string_view kMagic = "mitra-program-cache v1";
+constexpr std::string_view kMagic = "mitra-program-cache v2";
 
 std::string Hex16(std::uint64_t v) {
   char buf[17];
@@ -50,14 +50,8 @@ bool Field(const std::string& line, std::string_view label,
 }  // namespace
 
 std::string EncodeCacheEntry(const std::string& key,
-                             const db::CachedProgram& entry) {
-  std::ostringstream payload;
-  payload << "seconds " << entry.synthesis_seconds << "\n"
-          << "tried " << entry.table_extractors_tried << "\n"
-          << "consistent " << entry.table_extractors_consistent << "\n"
-          << "program\n"
-          << dsl::ToString(entry.program);
-  const std::string body = payload.str();
+                             const dsl::Program& program) {
+  const std::string body = dsl::ToString(program);
   std::string out;
   out.reserve(body.size() + 96);
   out += kMagic;
@@ -70,8 +64,8 @@ std::string EncodeCacheEntry(const std::string& key,
   return out;
 }
 
-Result<db::CachedProgram> DecodeCacheEntry(const std::string& key,
-                                           const std::string& content) {
+Result<dsl::Program> DecodeCacheEntry(const std::string& key,
+                                      const std::string& content) {
   size_t pos = 0;
   std::string line, value;
   if (!NextLine(content, &pos, &line) || line != kMagic) {
@@ -87,38 +81,18 @@ Result<db::CachedProgram> DecodeCacheEntry(const std::string& key,
   if (!NextLine(content, &pos, &line) || !Field(line, "check", &value)) {
     return Status::InvalidArgument("missing cache entry checksum");
   }
-  const std::string body = content.substr(pos);
+  const std::string_view body = std::string_view(content).substr(pos);
   if (Hex16(Fnv1a64(body.data(), body.size())) != value) {
     return Status::InvalidArgument("cache entry checksum mismatch");
   }
-  db::CachedProgram entry;
-  if (!NextLine(content, &pos, &line) || !Field(line, "seconds", &value)) {
-    return Status::InvalidArgument("missing cache entry seconds");
-  }
-  entry.synthesis_seconds = std::strtod(value.c_str(), nullptr);
-  if (!NextLine(content, &pos, &line) || !Field(line, "tried", &value)) {
-    return Status::InvalidArgument("missing cache entry tried");
-  }
-  entry.table_extractors_tried = std::strtoull(value.c_str(), nullptr, 10);
-  if (!NextLine(content, &pos, &line) || !Field(line, "consistent", &value)) {
-    return Status::InvalidArgument("missing cache entry consistent");
-  }
-  entry.table_extractors_consistent =
-      std::strtoull(value.c_str(), nullptr, 10);
-  if (!NextLine(content, &pos, &line) || line != "program") {
-    return Status::InvalidArgument("missing cache entry program");
-  }
-  MITRA_ASSIGN_OR_RETURN(entry.program,
-                         dsl::ParseProgram(content.substr(pos)));
-  return entry;
+  return dsl::ParseProgram(body);
 }
 
 std::string FsProgramCache::EntryPath(const std::string& key) const {
   return dir_ + "/" + key + ".mpc";
 }
 
-std::optional<db::CachedProgram> FsProgramCache::Lookup(
-    const std::string& key) {
+std::optional<dsl::Program> FsProgramCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto content = common::GetFileSystem()->ReadFile(EntryPath(key));
   if (!content.ok()) {
@@ -142,13 +116,13 @@ std::optional<db::CachedProgram> FsProgramCache::Lookup(
 }
 
 Status FsProgramCache::Store(const std::string& key,
-                             const db::CachedProgram& entry) {
+                             const dsl::Program& program) {
   std::lock_guard<std::mutex> lock(mu_);
   // Atomic so a concurrent Lookup (or a crash mid-store) never observes a
   // torn entry; the checksum in the payload is then a second line of
   // defense against bit rot rather than the only one against tearing.
   MITRA_RETURN_IF_ERROR(common::GetFileSystem()->WriteFileAtomic(
-      EntryPath(key), EncodeCacheEntry(key, entry)));
+      EntryPath(key), EncodeCacheEntry(key, program)));
   stores_.fetch_add(1, std::memory_order_relaxed);
   MITRA_COUNT("pipeline/cache/store", 1);
   return Status::OK();

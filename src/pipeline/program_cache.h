@@ -20,31 +20,28 @@
 /// printer/parser round-trip is the serialization contract, which is why
 /// dsl::kDslVersion participates in the cache key):
 ///
-///     mitra-program-cache v1
+///     mitra-program-cache v2
 ///     key <128-bit hex cache key>
-///     check <16-hex FNV-1a of the payload below>
-///     seconds <double>
-///     tried <u64>
-///     consistent <u64>
-///     program
+///     check <16-hex FNV-1a of the program text below>
 ///     <printed DSL program, to end of file>
 ///
-/// Everything after the `check` line is the payload the checksum covers.
-/// Any integrity failure — missing file, bad magic, key mismatch, checksum
-/// mismatch, unparseable program — reads as a MISS (counted under
-/// `cache/corrupt` when the file existed but was bad), never an error:
-/// the migrator falls back to fresh synthesis and overwrites the entry.
+/// An entry holds nothing but the program, so two syntheses of one task
+/// write the same bytes. Any integrity failure — missing file, bad magic
+/// (a v1 entry included), key mismatch, checksum mismatch, unparseable
+/// program — reads as a MISS (counted under `cache/corrupt` when the file
+/// existed but was bad), never an error: the migrator falls back to fresh
+/// synthesis and overwrites the entry.
 
 namespace mitra::pipeline {
 
 /// Serializes an entry to the on-disk format (exposed for tests that
 /// construct poisoned entries from valid ones).
 std::string EncodeCacheEntry(const std::string& key,
-                             const db::CachedProgram& entry);
+                             const dsl::Program& program);
 
 /// Parses an entry; any integrity failure is a Status, never a crash.
-Result<db::CachedProgram> DecodeCacheEntry(const std::string& key,
-                                           const std::string& content);
+Result<dsl::Program> DecodeCacheEntry(const std::string& key,
+                                      const std::string& content);
 
 /// FileSystem-backed db::ProgramCache. Thread-compatible for distinct keys
 /// by construction (one file per key); a mutex serializes same-key
@@ -53,8 +50,8 @@ class FsProgramCache : public db::ProgramCache {
  public:
   explicit FsProgramCache(std::string dir) : dir_(std::move(dir)) {}
 
-  std::optional<db::CachedProgram> Lookup(const std::string& key) override;
-  Status Store(const std::string& key, const db::CachedProgram& entry) override;
+  std::optional<dsl::Program> Lookup(const std::string& key) override;
+  Status Store(const std::string& key, const dsl::Program& program) override;
 
   const std::string& dir() const { return dir_; }
   std::string EntryPath(const std::string& key) const;

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <utility>
 
@@ -95,6 +97,91 @@ class PayloadReader {
   bool ok_ = true;
 };
 
+void EncodeMigration(const db::LearnedMigration& m, PayloadWriter* w) {
+  w->U64(m.schema.tables.size());
+  for (const db::TableDef& t : m.schema.tables) {
+    w->Str(t.name);
+    w->U64(t.columns.size());
+    for (const db::ColumnDef& c : t.columns) {
+      w->Str(c.name);
+      w->U64(static_cast<std::uint64_t>(c.kind));
+      w->Str(c.references);
+    }
+  }
+  w->U64(m.programs.size());
+  for (const auto& [table, program] : m.programs) {
+    w->Str(table);
+    w->Str(dsl::ToString(program));
+  }
+  w->U64(m.fk_plans.size());
+  for (const auto& [table, plans] : m.fk_plans) {
+    w->Str(table);
+    w->U64(plans.size());
+    for (const auto& [column, plan] : plans) {
+      w->U64(column);
+      w->U64(plan.extractors.size());
+      for (size_t j = 0; j < plan.extractors.size(); ++j) {
+        w->U64(static_cast<std::uint64_t>(plan.source_cols[j]));
+        w->Str(dsl::ToString(plan.extractors[j]));
+      }
+    }
+  }
+}
+
+/// Decodes what EncodeMigration wrote. Counts are not trusted: every loop
+/// stops once the reader runs dry, so a garbage count costs one failed
+/// read, and the decoded value must pass LearnedMigration::Validate.
+Status DecodeMigration(PayloadReader* r, db::LearnedMigration* m) {
+  const std::uint64_t num_tables = r->U64();
+  for (std::uint64_t i = 0; i < num_tables && r->ok(); ++i) {
+    db::TableDef& t = m->schema.tables.emplace_back();
+    t.name = r->Str();
+    const std::uint64_t num_cols = r->U64();
+    for (std::uint64_t c = 0; c < num_cols && r->ok(); ++c) {
+      db::ColumnDef& col = t.columns.emplace_back();
+      col.name = r->Str();
+      const std::uint64_t kind = r->U64();
+      if (kind > static_cast<std::uint64_t>(db::ColumnKind::kForeignKey)) {
+        return Status::InvalidArgument("worker init: column kind " +
+                                       std::to_string(kind) +
+                                       " out of range");
+      }
+      col.kind = static_cast<db::ColumnKind>(kind);
+      col.references = r->Str();
+    }
+  }
+  const std::uint64_t num_programs = r->U64();
+  for (std::uint64_t i = 0; i < num_programs && r->ok(); ++i) {
+    std::string table = r->Str();
+    const std::string text = r->Str();
+    if (!r->ok()) break;
+    MITRA_ASSIGN_OR_RETURN(m->programs[table], dsl::ParseProgram(text));
+  }
+  const std::uint64_t num_planned = r->U64();
+  for (std::uint64_t i = 0; i < num_planned && r->ok(); ++i) {
+    std::map<size_t, db::ForeignKeyPlan>& plans = m->fk_plans[r->Str()];
+    const std::uint64_t num_plans = r->U64();
+    for (std::uint64_t p = 0; p < num_plans && r->ok(); ++p) {
+      db::ForeignKeyPlan& plan = plans[r->U64()];
+      const std::uint64_t length = r->U64();
+      for (std::uint64_t j = 0; j < length && r->ok(); ++j) {
+        const std::uint64_t source = r->U64();
+        const std::string text = r->Str();
+        if (!r->ok()) break;
+        // Validate rejects the -1 that stands for an unrepresentable index.
+        const bool fits = source <= std::numeric_limits<int>::max();
+        plan.source_cols.push_back(fits ? static_cast<int>(source) : -1);
+        MITRA_ASSIGN_OR_RETURN(plan.extractors.emplace_back(),
+                               dsl::ParseNodeExtractor(text));
+      }
+    }
+  }
+  if (!r->ok()) {
+    return Status::InvalidArgument("worker init: truncated payload");
+  }
+  return m->Validate();
+}
+
 bool HasSuffix(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -150,12 +237,10 @@ class HeartbeatProbe : public common::FaultProbe {
       return Status::OK();
     }
     last_ = now;
-    PayloadWriter w;
-    w.Str(site);
     // A dead sink means the supervisor is gone; fail the governed work
     // with a permanent (non-transient) error so the document unwinds
     // instead of running to completion for nobody.
-    return sink_->Send(kFrameHeartbeat, w.Take()).ok()
+    return sink_->Send(kFrameHeartbeat, EncodeHeartbeat(site)).ok()
                ? Status::OK()
                : Status::Internal("ipc: supervisor unreachable");
   }
@@ -165,9 +250,7 @@ class HeartbeatProbe : public common::FaultProbe {
   void Beat(const char* phase) {
     std::lock_guard<std::mutex> lock(mu_);
     last_ = std::chrono::steady_clock::now();
-    PayloadWriter w;
-    w.Str(phase);
-    (void)sink_->Send(kFrameHeartbeat, w.Take());
+    (void)sink_->Send(kFrameHeartbeat, EncodeHeartbeat(phase));
   }
 
  private:
@@ -207,12 +290,7 @@ std::string EncodeWorkerInit(const WorkerInit& init) {
   w.U64(init.table_limits.max_states);
   w.U64(init.table_limits.max_rows);
   w.U64(init.table_limits.max_memory_bytes);
-  w.U64(init.tables.size());
-  for (const WorkerInitTable& t : init.tables) {
-    w.Str(t.name);
-    w.U64(t.num_cols);
-    w.Str(t.program);
-  }
+  EncodeMigration(init.migration, &w);
   return w.Take();
 }
 
@@ -237,67 +315,88 @@ Result<WorkerInit> DecodeWorkerInit(std::string_view payload) {
   init.table_limits.max_states = r.U64();
   init.table_limits.max_rows = r.U64();
   init.table_limits.max_memory_bytes = r.U64();
-  std::uint64_t count = r.U64();
-  if (!r.ok() || count > 100000) {
-    return Status::InvalidArgument("worker init: truncated payload");
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    WorkerInitTable t;
-    t.name = r.Str();
-    t.num_cols = r.U64();
-    t.program = r.Str();
-    if (!r.ok()) {
-      return Status::InvalidArgument("worker init: truncated table entry");
-    }
-    init.tables.push_back(std::move(t));
-  }
+  MITRA_RETURN_IF_ERROR(DecodeMigration(&r, &init.migration));
   return init;
 }
 
+std::string EncodeWorkerAssign(const WorkerAssign& assign) {
+  PayloadWriter w;
+  w.U64(assign.doc_index);
+  w.Str(assign.path);
+  return w.Take();
+}
+
+Result<WorkerAssign> DecodeWorkerAssign(std::string_view payload) {
+  PayloadReader r(payload);
+  WorkerAssign assign;
+  assign.doc_index = r.U64();
+  assign.path = r.Str();
+  if (!r.ok()) return Status::InvalidArgument("worker assign: truncated");
+  return assign;
+}
+
+std::string EncodeHeartbeat(std::string_view phase) {
+  PayloadWriter w;
+  w.Str(phase);
+  return w.Take();
+}
+
+std::string DecodeHeartbeat(std::string_view payload) {
+  PayloadReader r(payload);
+  std::string phase = r.Str();
+  return r.ok() ? phase : std::string();
+}
+
 std::string EncodeWorkerResult(const WorkerResult& result) {
+  const FleetDocOutcome& out = result.outcome;
   PayloadWriter w;
   w.U64(result.doc_index);
-  w.I64(static_cast<std::int64_t>(result.status.code()));
-  w.Str(result.status.message());
-  w.U64(result.rows);
-  w.U64(result.shard_crc);
-  w.I64(result.attempts);
-  w.U64(result.trail.size());
-  for (const std::string& line : result.trail) w.Str(line);
-  w.U64(result.max_rss_kb);
-  w.F64(result.seconds);
+  w.I64(static_cast<std::int64_t>(out.status.code()));
+  w.Str(out.status.message());
+  w.U64(out.rows);
+  w.U64(out.shard_crc);
+  w.I64(out.attempts);
+  w.U64(out.trail.size());
+  for (const std::string& line : out.trail) w.Str(line);
+  w.U64(out.peak_rss_kb);
+  w.F64(out.seconds);
   return w.Take();
 }
 
 Result<WorkerResult> DecodeWorkerResult(std::string_view payload) {
   PayloadReader r(payload);
   WorkerResult res;
+  FleetDocOutcome& out = res.outcome;
   res.doc_index = r.U64();
-  std::int64_t code = r.I64();
+  const std::int64_t code = r.I64();
   std::string message = r.Str();
-  res.status = code == 0 ? Status::OK()
+  // kUnavailable is StatusCode's last enumerator.
+  if (code < 0 || code > static_cast<std::int64_t>(StatusCode::kUnavailable)) {
+    return Status::InvalidArgument("worker result: status code " +
+                                   std::to_string(code) + " out of range");
+  }
+  out.status = code == 0 ? Status::OK()
                          : Status(static_cast<StatusCode>(code),
                                   std::move(message));
-  res.rows = r.U64();
-  res.shard_crc = static_cast<std::uint32_t>(r.U64());
-  res.attempts = static_cast<int>(r.I64());
-  std::uint64_t trail = r.U64();
-  if (!r.ok() || trail > 100000) {
-    return Status::InvalidArgument("worker result: truncated payload");
+  out.rows = r.U64();
+  out.shard_crc = static_cast<std::uint32_t>(r.U64());
+  out.attempts = static_cast<int>(r.I64());
+  const std::uint64_t trail = r.U64();
+  for (std::uint64_t i = 0; i < trail && r.ok(); ++i) {
+    out.trail.push_back(r.Str());
   }
-  for (std::uint64_t i = 0; i < trail; ++i) res.trail.push_back(r.Str());
-  res.max_rss_kb = r.U64();
-  res.seconds = r.F64();
+  out.peak_rss_kb = r.U64();
+  out.seconds = r.F64();
   if (!r.ok()) {
     return Status::InvalidArgument("worker result: truncated payload");
   }
   return res;
 }
 
-FleetDocResult ExecuteFleetDocument(const FleetExecContext& ctx, size_t index,
-                                    const std::string& path) {
+FleetDocOutcome ExecuteFleetDocument(const FleetExecContext& ctx,
+                                     size_t index, const std::string& path) {
   auto start = std::chrono::steady_clock::now();
-  FleetDocResult out;
+  FleetDocOutcome out;
   auto phase = [&](const char* p) {
     if (ctx.phase) ctx.phase(p);
   };
@@ -311,35 +410,27 @@ FleetDocResult ExecuteFleetDocument(const FleetExecContext& ctx, size_t index,
     MITRA_ASSIGN_OR_RETURN(std::string text, fs->ReadFile(path));
     phase("doc/parse");
     MITRA_ASSIGN_OR_RETURN(hdt::Hdt doc, ParseFleetDoc(path, text));
-    db::MigrationReport exec = *ctx.learn;
     phase("doc/execute");
     // The fleet position is the document index, so generated keys match
     // one sequential run over the whole fleet.
+    db::MigrationReport exec;
     db::Database db = ctx.migrator->ExecuteTolerant(
         doc, static_cast<int>(index), &exec, ctx.migrator_options);
     // All-or-nothing per document: a document whose execution failed for
-    // *any* live table contributes no shards at all — a partial document
+    // *any* table contributes no shards at all — a partial document
     // would make the final tables mutually inconsistent.
-    for (const std::string& name : *ctx.live) {
-      const db::TableReport* tr = exec.Find(name);
-      if (!db::TableIsLive(tr)) {
-        return tr != nullptr && !tr->status.ok()
-                   ? tr->status
-                   : Status::Internal("table " + name +
-                                      " lost during execution");
-      }
+    for (const db::TableReport& tr : exec.tables) {
+      if (tr.outcome == db::TableOutcome::kFailed) return tr.status;
     }
     phase("doc/write");
-    for (const std::string& name : *ctx.live) {
-      auto it = db.tables.find(name);
-      std::string csv;
-      if (it != db.tables.end()) {
-        out.rows += it->second.NumRows();
-        csv = WriteCsv(it->second.rows());
-      }
+    for (const db::TableDef& t : ctx.migrator->schema().tables) {
+      auto it = db.tables.find(t.name);
+      if (it == db.tables.end()) continue;  // no program: not live
+      out.rows += it->second.NumRows();
+      const std::string csv = WriteCsv(it->second.rows());
       out.shard_crc = Crc32(csv.data(), csv.size(), out.shard_crc);
       MITRA_RETURN_IF_ERROR(
-          fs->WriteFileAtomic(ShardPath(ctx.outdir, name, index), csv));
+          fs->WriteFileAtomic(ShardPath(ctx.outdir, t.name, index), csv));
     }
     return Status::OK();
   });
@@ -348,7 +439,9 @@ FleetDocResult ExecuteFleetDocument(const FleetExecContext& ctx, size_t index,
     if (res.recovered()) MITRA_COUNT("pipeline/retry/recovered", 1);
   }
   if (res.exhausted) MITRA_COUNT("pipeline/retry/exhausted", 1);
-  out.retry = std::move(res);
+  out.status = std::move(res.status);
+  out.attempts = res.attempts;
+  out.trail = std::move(res.trail);
   out.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -379,46 +472,13 @@ int WorkerMain(const WorkerMainOptions& opts) {
     return 2;
   }
 
-  // Rebuild execution state from the shipped programs — no re-learning
-  // (see worker.h: re-synthesis under wall-clock ladder budgets could
-  // degrade differently per worker and break output determinism).
-  db::DatabaseSchema schema;
-  db::MigrationReport learn;
-  std::vector<std::string> live;
-  for (const WorkerInitTable& t : init->tables) {
-    db::TableDef def;
-    def.name = t.name;
-    for (std::uint64_t c = 0; c < t.num_cols; ++c) {
-      def.columns.push_back(db::ColumnDef{"c" + std::to_string(c),
-                                          db::ColumnKind::kData, ""});
-    }
-    schema.tables.push_back(std::move(def));
-    // The supervisor ships live tables only.
-    db::TableReport tr;
-    tr.table = t.name;
-    tr.outcome = db::TableOutcome::kOk;
-    learn.tables.push_back(std::move(tr));
-    live.push_back(t.name);
-  }
-  db::Migrator migrator(std::move(schema));
-  for (const WorkerInitTable& t : init->tables) {
-    auto program = dsl::ParseProgram(t.program);
-    if (!program.ok()) {
-      std::fprintf(stderr, "batch-worker: program for %s: %s\n",
-                   t.name.c_str(), program.status().ToString().c_str());
-      return 2;
-    }
-    Status st = migrator.InstallLearnedProgram(t.name, std::move(*program));
-    if (!st.ok()) {
-      std::fprintf(stderr, "batch-worker: %s\n", st.ToString().c_str());
-      return 2;
-    }
-  }
-
+  // Execution state is the supervisor's learned migration, as is — no
+  // re-learning (see worker.h: re-synthesis under wall-clock ladder
+  // budgets could degrade differently per worker and break output
+  // determinism).
+  db::Migrator migrator(std::move(init->migration));
   FleetExecContext ctx;
   ctx.migrator = &migrator;
-  ctx.learn = &learn;
-  ctx.live = &live;
   ctx.migrator_options.table_limits = init->table_limits;
   ctx.outdir = init->outdir;
   ctx.retry = init->retry;
@@ -445,30 +505,21 @@ int WorkerMain(const WorkerMainOptions& opts) {
       exit_code = 1;
       break;
     }
-    PayloadReader r((*frame)->second);
-    std::uint64_t index = r.U64();
-    std::string path = r.Str();
-    if (!r.ok()) {
-      std::fprintf(stderr, "batch-worker: bad assign frame\n");
+    auto assign = DecodeWorkerAssign((*frame)->second);
+    if (!assign.ok()) {
+      std::fprintf(stderr, "batch-worker: %s\n",
+                   assign.status().ToString().c_str());
       exit_code = 1;
       break;
     }
     probe.Beat("doc/start");
-    if (opts.pre_doc_hook) opts.pre_doc_hook(path);
-    FleetDocResult res = ExecuteFleetDocument(ctx, index, path);
-
-    WorkerResult wr;
-    wr.doc_index = index;
-    wr.status = res.retry.status;
-    wr.rows = res.rows;
-    wr.shard_crc = res.shard_crc;
-    wr.attempts = res.retry.attempts;
-    wr.trail = res.retry.trail;
-    wr.seconds = res.seconds;
+    if (opts.pre_doc_hook) opts.pre_doc_hook(assign->path);
+    WorkerResult wr{assign->doc_index,
+                    ExecuteFleetDocument(ctx, assign->doc_index, assign->path)};
     struct rusage ru;
     std::memset(&ru, 0, sizeof(ru));
     ::getrusage(RUSAGE_SELF, &ru);
-    wr.max_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
+    wr.outcome.peak_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
     if (!sink.Send(kFrameResult, EncodeWorkerResult(wr)).ok()) {
       exit_code = 1;
       break;

@@ -26,34 +26,6 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-/// Little-endian u64 + length-prefixed string, matching worker.cc's
-/// PayloadWriter (the assign frame is simple enough to inline here).
-void AppendU64(std::string* out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, sizeof(buf));
-}
-
-std::string EncodeAssign(size_t index, const std::string& path) {
-  std::string out;
-  AppendU64(&out, static_cast<std::uint64_t>(index));
-  AppendU64(&out, path.size());
-  out += path;
-  return out;
-}
-
-/// Heartbeat payloads are one length-prefixed string.
-std::string DecodePhase(const std::string& payload) {
-  if (payload.size() < 8) return {};
-  std::uint64_t len = 0;
-  for (int i = 0; i < 8; ++i) {
-    len |= static_cast<std::uint64_t>(static_cast<unsigned char>(payload[i]))
-           << (8 * i);
-  }
-  if (payload.size() - 8 < len) return {};
-  return payload.substr(8, len);
-}
-
 struct Slot {
   std::unique_ptr<common::Subprocess> proc;
   common::FrameBuffer buf;
@@ -276,8 +248,9 @@ Status RunWorkerFleet(
       }
       if (it == pending.end()) continue;
       const size_t doc = *it;
-      Status st = common::WriteFrame(s.proc->in_fd(), kFrameAssign,
-                                     EncodeAssign(doc, documents[doc]));
+      Status st = common::WriteFrame(
+          s.proc->in_fd(), kFrameAssign,
+          EncodeWorkerAssign(WorkerAssign{doc, documents[doc]}));
       if (!st.ok()) {
         // The worker is dying; reap it here, leave the document queued.
         common::ExitInfo info = s.proc->Wait();
@@ -430,21 +403,14 @@ Status RunWorkerFleet(
           preready_deaths = 0;
         } else if (type == kFrameHeartbeat) {
           s.last_hb = Clock::now();
-          s.last_phase = DecodePhase(payload);
+          s.last_phase = DecodeHeartbeat(payload);
         } else if (type == kFrameResult) {
           auto wr = DecodeWorkerResult(payload);
           if (!wr.ok() || !s.busy || wr->doc_index != s.doc) {
             protocol_violation = true;
             break;
           }
-          FleetDocOutcome out;
-          out.status = wr->status;
-          out.rows = wr->rows;
-          out.shard_crc = wr->shard_crc;
-          out.attempts = wr->attempts;
-          out.trail = std::move(wr->trail);
-          out.seconds = wr->seconds;
-          out.peak_rss_kb = wr->max_rss_kb;
+          FleetDocOutcome out = std::move(wr->outcome);
           auto hist = faults.find(s.doc);
           if (hist != faults.end()) {
             out.hard_faults = std::move(hist->second);

@@ -52,42 +52,6 @@ struct WorkerPoolOptions {
   double ready_timeout_seconds = 60.0;
 };
 
-/// Diagnostics for one worker death while (or before) holding a document
-/// — the `hard_fault` block of the quarantine report.
-struct HardFaultInfo {
-  /// "signal" | "timeout" | "heartbeat" | "rlimit_cpu" | "exit" |
-  /// "protocol" | "spawn".
-  std::string kind;
-  int signal = 0;         ///< terminating signal (0 = exited)
-  int exit_code = -1;     ///< exit status when kind == "exit"
-  std::string last_phase; ///< last heartbeat phase ("" = none seen)
-  double seconds_since_heartbeat = 0.0;
-  /// Worker rusage at reap time.
-  std::uint64_t max_rss_kb = 0;
-  double user_seconds = 0.0;
-  double system_seconds = 0.0;
-  /// True when this fault consumed the document's one fresh-worker retry
-  /// (false on the final, quarantining fault).
-  bool retried = false;
-};
-
-/// Supervisor-side outcome for one document.
-struct FleetDocOutcome {
-  Status status;  ///< OK = migrated; else the quarantining error
-  std::uint64_t rows = 0;
-  std::uint32_t shard_crc = 0;
-  int attempts = 0;
-  std::vector<std::string> trail;
-  double seconds = 0.0;
-  /// Peak RSS of the worker that (last) ran the document, in kB — from
-  /// the worker's own getrusage on success, from the reap rusage on a
-  /// hard fault.
-  std::uint64_t peak_rss_kb = 0;
-  /// Worker deaths attributed to this document, oldest first; at most
-  /// one has retried=false. Empty for documents that never hard-faulted.
-  std::vector<HardFaultInfo> hard_faults;
-};
-
 /// Runs `pending` (fleet indices into `documents`, in execution order)
 /// through a supervised worker fleet. `on_doc` is invoked exactly once
 /// per pending document, from this (the calling) thread, as results and

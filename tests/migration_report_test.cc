@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "db/migrator.h"
 #include "db/schema.h"
 #include "test_util.h"
@@ -228,6 +229,32 @@ TEST(MigrationReport, ExecuteFailureIsRecordedPerTable) {
     EXPECT_EQ(t.status.code(), StatusCode::kResourceExhausted) << t.table;
     ASSERT_FALSE(t.retry_trail.empty());
     EXPECT_EQ(t.retry_trail.back().rfind("execute: ", 0), 0u);
+  }
+}
+
+TEST(MigrationReport, ExecuteUnderStarvingLimitsFailsOnTheFirstTable) {
+  // Execute runs each table under its own Governor(table_limits), as the
+  // learning entry points do, and fails fast with the first failing
+  // table's error in schema order, with or without an execution pool.
+  hdt::Hdt example = ParseXmlOrDie(kDoc);
+  Migrator migrator(PubSchema());
+  ASSERT_TRUE(migrator.Learn(example, GoodExamples()).ok());
+  ASSERT_TRUE(migrator.Execute(example).ok());  // unlimited by default
+
+  common::ThreadPool pool(8);
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                &pool}) {
+    MigratorOptions starve;
+    starve.table_limits.max_rows = 1;
+    starve.execute.pool = p;
+    auto db = migrator.Execute(example, 0, starve);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kResourceExhausted)
+        << db.status().ToString();
+    EXPECT_EQ(db.status().message().rfind("execution failed for table papers: ",
+                                          0),
+              0u)
+        << db.status().ToString();
   }
 }
 

@@ -285,10 +285,10 @@ TEST(ParallelMigratorLearn, FirstFailingTableInSchemaOrderWins) {
 /// Misses every lookup and records each Store with its calling thread.
 class RecordingCache : public db::ProgramCache {
  public:
-  std::optional<db::CachedProgram> Lookup(const std::string&) override {
+  std::optional<dsl::Program> Lookup(const std::string&) override {
     return std::nullopt;
   }
-  Status Store(const std::string& key, const db::CachedProgram&) override {
+  Status Store(const std::string& key, const dsl::Program&) override {
     stored.push_back(key);
     threads.push_back(std::this_thread::get_id());
     return Status::OK();
@@ -420,6 +420,130 @@ TEST(ParallelMigratorLearn, TolerantFailuresIdenticalAcrossThreadCounts) {
         EXPECT_EQ(got, *base) << "threads=" << threads;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent table execution in db::Migrator::Execute / ExecuteTolerant
+
+/// Every table of `db`, printed as CSV in name order.
+std::string DescribeDatabase(const db::Database& db) {
+  std::string out;
+  for (const auto& [name, table] : db.tables) {
+    out += "csv " + name + "\n" + WriteCsv(table.rows());
+  }
+  return out;
+}
+
+/// Runs Execute and ExecuteTolerant on `doc` with no pool and with an
+/// 8-thread execute.pool, under `limits`, and expects the same databases,
+/// Execute errors and report outcomes from both.
+void ExpectExecutionIndependentOfPool(const db::Migrator& m,
+                                      const db::MigrationReport& learned,
+                                      const hdt::Hdt& doc,
+                                      const common::ResourceLimits& limits,
+                                      const std::string& what) {
+  common::ThreadPool pool(8);
+  std::optional<std::string> base;
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                &pool}) {
+    db::MigratorOptions opts;
+    opts.table_limits = limits;
+    opts.execute.pool = p;
+    auto strict = m.Execute(doc, 3, opts);
+    db::MigrationReport report = learned;
+    db::Database tolerant = m.ExecuteTolerant(doc, 3, &report, opts);
+    std::string got = "strict " + (strict.ok() ? DescribeDatabase(*strict)
+                                               : strict.status().ToString());
+    got += "\ntolerant " + DescribeDatabase(tolerant) + DescribeReport(report);
+    if (strict.ok()) {
+      EXPECT_EQ(DescribeDatabase(tolerant), DescribeDatabase(*strict)) << what;
+    }
+    if (!base) {
+      base = std::move(got);
+    } else {
+      EXPECT_EQ(got, *base) << what << " with an 8-thread pool";
+    }
+  }
+}
+
+TEST(ParallelMigratorExecute, Table2IdenticalWithAndWithoutPool) {
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt example = ParseDatasetDoc(*spec, spec->example_document);
+    hdt::Hdt doc = ParseDatasetDoc(*spec, spec->generate(30, 7));
+    db::Migrator m(spec->schema);
+    auto learned =
+        m.LearnTolerant(example, DatasetExamples(*spec), LearnOptions(8));
+    ASSERT_TRUE(learned.ok())
+        << spec->name << ": " << learned.status().ToString();
+    ASSERT_TRUE(learned->complete()) << spec->name;
+    ExpectExecutionIndependentOfPool(m, *learned, doc, {}, spec->name);
+    common::ResourceLimits starve;
+    starve.max_rows = 1;
+    ExpectExecutionIndependentOfPool(m, *learned, doc, starve,
+                                     spec->name + " starved");
+  }
+}
+
+TEST(ParallelMigratorExecute, FailedTablesIdenticalWithAndWithoutPool) {
+  hdt::Hdt tree = ParseXmlOrDie(R"(
+<corpus>
+  <paper key="p1"><title>T1</title><year>2001</year>
+    <author><name>A</name></author>
+    <author><name>B</name></author>
+  </paper>
+  <paper key="p2"><title>T2</title><year>2002</year>
+    <author><name>C</name></author>
+  </paper>
+</corpus>
+)");
+  // migration_report_test's scenarios: a poisoned table that no rung can
+  // learn beside healthy tables with foreign keys, and a foreign key to a
+  // failed table, which is skipped.
+  db::DatabaseSchema poisoned;
+  poisoned.tables = {
+      {"papers",
+       {{"pid", db::ColumnKind::kPrimaryKey, ""},
+        {"title", db::ColumnKind::kData, ""},
+        {"year", db::ColumnKind::kData, ""}}},
+      {"authorship",
+       {{"aid", db::ColumnKind::kPrimaryKey, ""},
+        {"name", db::ColumnKind::kData, ""},
+        {"paper", db::ColumnKind::kForeignKey, "papers"}}},
+      {"journal", {{"jname", db::ColumnKind::kData, ""}}},
+      {"volume",
+       {{"vid", db::ColumnKind::kData, ""},
+        {"jref", db::ColumnKind::kForeignKey, "papers"}}}};
+  std::map<std::string, hdt::Table> poisoned_examples{
+      {"papers", MakeTable({{"T1", "2001"}, {"T2", "2002"}})},
+      {"authorship", MakeTable({{"A"}, {"B"}, {"C"}})},
+      {"journal", MakeTable({{"NOT-IN-DOCUMENT"}})},
+      {"volume", MakeTable({{"T1"}, {"T2"}})}};
+  db::DatabaseSchema cascade;
+  cascade.tables = {
+      {"broken",
+       {{"bid", db::ColumnKind::kPrimaryKey, ""},
+        {"x", db::ColumnKind::kData, ""}}},
+      {"dependent",
+       {{"name", db::ColumnKind::kData, ""},
+        {"ref", db::ColumnKind::kForeignKey, "broken"}}}};
+  std::map<std::string, hdt::Table> cascade_examples{
+      {"broken", MakeTable({{"NOT-IN-DOCUMENT"}})},
+      {"dependent", MakeTable({{"A"}, {"B"}, {"C"}})}};
+
+  common::ResourceLimits starve;
+  starve.max_rows = 1;
+  for (const auto& [schema, examples] :
+       {std::pair{&poisoned, &poisoned_examples},
+        std::pair{&cascade, &cascade_examples}}) {
+    db::Migrator m(*schema);
+    auto learned = m.LearnTolerant(tree, *examples, LearnOptions(8));
+    ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+    ASSERT_FALSE(learned->complete());
+    const std::string what = schema->tables.front().name;
+    ExpectExecutionIndependentOfPool(m, *learned, tree, {}, what);
+    ExpectExecutionIndependentOfPool(m, *learned, tree, starve,
+                                     what + " starved");
   }
 }
 

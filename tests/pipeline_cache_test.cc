@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/fs.h"
+#include "common/strings.h"
 #include "dsl/ast.h"
 #include "dsl/parser.h"
 #include "pipeline/batch.h"
@@ -77,18 +79,11 @@ dsl::Program SampleProgram() {
 }
 
 TEST_F(CacheFixture, EncodeDecodeRoundTrip) {
-  db::CachedProgram entry;
-  entry.program = SampleProgram();
-  entry.synthesis_seconds = 1.25;
-  entry.table_extractors_tried = 7;
-  entry.table_extractors_consistent = 2;
-  std::string encoded = EncodeCacheEntry("deadbeef", entry);
+  const dsl::Program program = SampleProgram();
+  std::string encoded = EncodeCacheEntry("deadbeef", program);
   auto decoded = DecodeCacheEntry("deadbeef", encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(dsl::ToString(decoded->program), dsl::ToString(entry.program));
-  EXPECT_EQ(decoded->synthesis_seconds, entry.synthesis_seconds);
-  EXPECT_EQ(decoded->table_extractors_tried, 7u);
-  EXPECT_EQ(decoded->table_extractors_consistent, 2u);
+  EXPECT_EQ(dsl::ToString(*decoded), dsl::ToString(program));
   // Key mismatch is an integrity failure (entry copied across keys).
   EXPECT_FALSE(DecodeCacheEntry("f00dface", encoded).ok());
 }
@@ -111,18 +106,11 @@ TEST_F(CacheFixture, TruncatedEntryFallsBackAndIsOverwritten) {
   EXPECT_FALSE(run->learn.tables[0].cache_hit);
   EXPECT_EQ(FinalTable(), want);
   EXPECT_GE(cache.corrupt(), 1u);
-  // The bad entry was overwritten with the freshly synthesized one
-  // (timing stats differ run to run; the program is what matters).
-  const std::string key = path.substr(
-      path.rfind('/') + 1, path.size() - path.rfind('/') - 1 - 4);
+  // The bad entry was overwritten with the freshly synthesized one. An
+  // entry holds only the program, so the repair is the original's bytes.
   auto repaired_bytes = mem_.ReadFile(path);
   ASSERT_TRUE(repaired_bytes.ok());
-  auto repaired = DecodeCacheEntry(key, *repaired_bytes);
-  auto original = DecodeCacheEntry(key, *good);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ASSERT_TRUE(original.ok());
-  EXPECT_EQ(dsl::ToString(repaired->program),
-            dsl::ToString(original->program));
+  EXPECT_EQ(*repaired_bytes, *good);
   // …so the next run hits again.
   auto warm = Run(&cache);
   ASSERT_TRUE(warm.ok());
@@ -145,6 +133,44 @@ TEST_F(CacheFixture, GarbageEntryFallsBack) {
   EXPECT_GE(cache.corrupt(), 1u);
 }
 
+TEST_F(CacheFixture, V1EntryReadsAsCorruptOnceAndIsOverwritten) {
+  FsProgramCache cache("/cache");
+  auto cold = Run(&cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  std::string want = FinalTable();
+  std::string path = EntryPath();
+  auto good = mem_.ReadFile(path);
+  ASSERT_TRUE(good.ok());
+
+  // The retired v1 layout: timing stats before the program.
+  const std::string key =
+      path.substr(path.rfind('/') + 1, path.size() - path.rfind('/') - 1 - 4);
+  auto program = DecodeCacheEntry(key, *good);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const std::string body = "seconds 0.5\ntried 3\nconsistent 1\nprogram\n" +
+                           dsl::ToString(*program);
+  char check[17];
+  std::snprintf(check, sizeof(check), "%016llx",
+                static_cast<unsigned long long>(
+                    Fnv1a64(body.data(), body.size())));
+  ASSERT_TRUE(mem_.WriteFile(path, "mitra-program-cache v1\nkey " + key +
+                                       "\ncheck " + check + "\n" + body)
+                  .ok());
+
+  auto run = Run(&cache);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(run->learn.tables[0].cache_hit);
+  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(FinalTable(), want);
+  auto rewritten = mem_.ReadFile(path);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(*rewritten, *good);
+  auto warm = Run(&cache);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->learn.tables[0].cache_hit);
+  EXPECT_EQ(cache.corrupt(), 1u);
+}
+
 TEST_F(CacheFixture, WellFormedButWrongProgramIsRejectedByVerification) {
   FsProgramCache cache("/cache");
   auto cold = Run(&cache);
@@ -163,8 +189,8 @@ TEST_F(CacheFixture, WellFormedButWrongProgramIsRejectedByVerification) {
   ASSERT_TRUE(good_entry.ok());
   auto poison = DecodeCacheEntry(key, *good_entry);
   ASSERT_TRUE(poison.ok()) << poison.status().ToString();
-  ASSERT_EQ(poison->program.columns.size(), 2u);
-  poison->program.columns[1] = poison->program.columns[0];
+  ASSERT_EQ(poison->columns.size(), 2u);
+  poison->columns[1] = poison->columns[0];
   ASSERT_TRUE(mem_.WriteFile(path, EncodeCacheEntry(key, *poison)).ok());
 
   auto run = Run(&cache);

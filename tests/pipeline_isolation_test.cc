@@ -16,18 +16,26 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/fs.h"
 #include "common/status.h"
+#include "db/migrator.h"
+#include "db/schema.h"
+#include "dsl/parser.h"
 #include "gtest/gtest.h"
 #include "obs/obs.h"
 #include "pipeline/batch.h"
 #include "pipeline/worker.h"
 #include "pipeline/worker_pool.h"
+#include "test_util.h"
 #include "testing/crash_point.h"
+#include "workload/datasets.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MITRA_ASAN 1
@@ -411,6 +419,338 @@ TEST(PipelineIsolation, SupervisorCrashPointSweepResumesCleanly) {
                               << resumed.status().ToString();
     EXPECT_TRUE(resumed->complete()) << "k=" << k;
     EXPECT_EQ(ReadFileOrDie(outdir + "/people.csv"), expected) << "k=" << k;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The worker frame codecs, without a subprocess.
+
+TEST(WorkerCodec, FramesRoundTrip) {
+  pipeline::WorkerAssign assign{42, std::string("docs/d\0\n7.xml", 14)};
+  auto a = pipeline::DecodeWorkerAssign(pipeline::EncodeWorkerAssign(assign));
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->doc_index, 42u);
+  EXPECT_EQ(a->path, assign.path);
+
+  EXPECT_EQ(pipeline::DecodeHeartbeat(pipeline::EncodeHeartbeat("doc/parse")),
+            "doc/parse");
+
+  pipeline::WorkerResult result;
+  result.doc_index = 7;
+  pipeline::FleetDocOutcome& out = result.outcome;
+  out.status = Status::ResourceExhausted("row budget exceeded");
+  out.rows = 12;
+  out.shard_crc = 0xdeadbeef;
+  out.attempts = 3;
+  out.trail = {"attempt 1: Unavailable: eagain", ""};
+  out.peak_rss_kb = 4096;
+  out.seconds = 0.5;
+  auto r = pipeline::DecodeWorkerResult(pipeline::EncodeWorkerResult(result));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->doc_index, 7u);
+  EXPECT_EQ(r->outcome.status.ToString(), out.status.ToString());
+  EXPECT_EQ(r->outcome.rows, 12u);
+  EXPECT_EQ(r->outcome.shard_crc, 0xdeadbeefu);
+  EXPECT_EQ(r->outcome.attempts, 3);
+  EXPECT_EQ(r->outcome.trail, out.trail);
+  EXPECT_EQ(r->outcome.peak_rss_kb, 4096u);
+  EXPECT_EQ(r->outcome.seconds, 0.5);
+
+  pipeline::WorkerInit init;
+  init.outdir = "/out";
+  init.table_limits.max_rows = 99;
+  init.retry.max_attempts = 4;
+  init.retry.seed = 11;
+  init.heartbeat_interval_seconds = 0.125;
+  init.migration.schema.tables.push_back(
+      db::TableDef{"people", {{"name", db::ColumnKind::kData, ""}}});
+  auto program = dsl::ParseProgram(
+      "λτ. filter((λs.pchildren(children(s, person), name, 0)){root(τ)}, "
+      "λt. true)");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  init.migration.programs["people"] = *program;
+  const std::string payload = pipeline::EncodeWorkerInit(init);
+  auto i = pipeline::DecodeWorkerInit(payload);
+  ASSERT_TRUE(i.ok()) << i.status().ToString();
+  EXPECT_EQ(i->outdir, "/out");
+  EXPECT_EQ(i->table_limits.max_rows, 99u);
+  EXPECT_EQ(i->retry.max_attempts, 4);
+  EXPECT_EQ(i->retry.seed, 11u);
+  EXPECT_EQ(i->heartbeat_interval_seconds, 0.125);
+  EXPECT_EQ(pipeline::EncodeWorkerInit(*i), payload);
+}
+
+TEST(WorkerCodec, EveryStrictPrefixIsRejected) {
+  const std::string assign =
+      pipeline::EncodeWorkerAssign(pipeline::WorkerAssign{3, "d3.xml"});
+  for (size_t n = 0; n < assign.size(); ++n) {
+    EXPECT_FALSE(pipeline::DecodeWorkerAssign(assign.substr(0, n)).ok()) << n;
+  }
+  // A malformed heartbeat still counts as one, with no phase.
+  const std::string heartbeat = pipeline::EncodeHeartbeat("doc/execute");
+  for (size_t n = 0; n < heartbeat.size(); ++n) {
+    EXPECT_EQ(pipeline::DecodeHeartbeat(heartbeat.substr(0, n)), "") << n;
+  }
+  pipeline::WorkerResult result;
+  result.outcome.status = Status::Internal("boom");
+  result.outcome.trail = {"a", "b"};
+  const std::string encoded = pipeline::EncodeWorkerResult(result);
+  for (size_t n = 0; n < encoded.size(); ++n) {
+    EXPECT_FALSE(pipeline::DecodeWorkerResult(encoded.substr(0, n)).ok())
+        << n;
+  }
+}
+
+TEST(WorkerCodec, ResultStatusCodeOutOfRangeIsRejected) {
+  pipeline::WorkerResult result;
+  result.outcome.status = Status::Internal("boom");
+  std::string encoded = pipeline::EncodeWorkerResult(result);
+  // The code is the i64 after the u64 document index.
+  encoded[8] = 99;
+  for (size_t b = 9; b < 16; ++b) encoded[b] = 0;
+  auto decoded = pipeline::DecodeWorkerResult(encoded);
+  EXPECT_FALSE(decoded.ok()) << decoded->outcome.status.ToString();
+  encoded[8] = static_cast<char>(0xff);  // with bytes 9..15 of -1: code -1
+  for (size_t b = 9; b < 16; ++b) encoded[b] = static_cast<char>(0xff);
+  EXPECT_FALSE(pipeline::DecodeWorkerResult(encoded).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The learned migration in the init frame: the four Table 2 schemas with
+// their primary- and foreign-key columns.
+
+hdt::Hdt ParseDatasetDoc(const workload::DatasetSpec& spec,
+                         const std::string& text) {
+  return spec.format == workload::DocFormat::kXml
+             ? test::ParseXmlOrDie(text)
+             : test::ParseJsonOrDie(text);
+}
+
+struct LearnedDataset {
+  const workload::DatasetSpec* spec;
+  std::unique_ptr<db::Migrator> migrator;
+};
+
+/// DBLP, IMDB, MONDIAL and YELP, each learned once per process.
+const std::vector<LearnedDataset>& Table2() {
+  static const std::vector<LearnedDataset>* learned = [] {
+    auto* out = new std::vector<LearnedDataset>;
+    for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+      hdt::Hdt example = ParseDatasetDoc(*spec, spec->example_document);
+      std::map<std::string, hdt::Table> examples;
+      for (const auto& [name, rows] : spec->example_tables) {
+        examples[name] = test::MakeTable(rows);
+      }
+      auto migrator = std::make_unique<db::Migrator>(spec->schema);
+      Status st = migrator->Learn(example, examples);
+      EXPECT_TRUE(st.ok()) << spec->name << ": " << st.ToString();
+      out->push_back(LearnedDataset{spec, std::move(migrator)});
+    }
+    return out;
+  }();
+  return *learned;
+}
+
+pipeline::WorkerInit InitFor(const db::Migrator& migrator,
+                             const std::string& outdir) {
+  pipeline::WorkerInit init;
+  init.outdir = outdir;
+  init.migration = migrator.learned();
+  return init;
+}
+
+std::map<std::string, std::string> CsvByTable(const db::Database& db) {
+  std::map<std::string, std::string> out;
+  for (const auto& [name, table] : db.tables) {
+    out[name] = WriteCsv(table.rows());
+  }
+  return out;
+}
+
+TEST(LearnedMigrationFrame, Table2RoundTripExecutesByteIdentical) {
+  for (const LearnedDataset& d : Table2()) {
+    const std::string payload =
+        pipeline::EncodeWorkerInit(InitFor(*d.migrator, "/out"));
+    auto decoded = pipeline::DecodeWorkerInit(payload);
+    ASSERT_TRUE(decoded.ok()) << d.spec->name << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(pipeline::EncodeWorkerInit(*decoded), payload) << d.spec->name;
+    ASSERT_FALSE(d.migrator->fk_plans().empty()) << d.spec->name;
+    db::Migrator copy(std::move(decoded->migration));
+
+    hdt::Hdt doc = ParseDatasetDoc(*d.spec, d.spec->generate(30, 7));
+    auto want = d.migrator->Execute(doc);
+    auto got = copy.Execute(doc);
+    ASSERT_TRUE(want.ok()) << d.spec->name << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << d.spec->name << ": " << got.status().ToString();
+    EXPECT_EQ(CsvByTable(*got), CsvByTable(*want)) << d.spec->name;
+  }
+}
+
+TEST(LearnedMigrationFrame, EveryStrictPrefixOfTable2InitIsRejected) {
+  for (const LearnedDataset& d : Table2()) {
+    const std::string payload =
+        pipeline::EncodeWorkerInit(InitFor(*d.migrator, "/out"));
+    for (size_t n = 0; n < payload.size(); ++n) {
+      ASSERT_FALSE(pipeline::DecodeWorkerInit(payload.substr(0, n)).ok())
+          << d.spec->name << " prefix " << n << " of " << payload.size();
+    }
+  }
+}
+
+TEST(LearnedMigrationFrame, InvalidMigrationsAreRejected) {
+  const LearnedDataset& dblp = Table2().front();
+  const db::LearnedMigration& good = dblp.migrator->learned();
+  ASSERT_TRUE(good.Validate().ok());
+  // The first table with a foreign key, and that key's column.
+  std::string table;
+  size_t column = 0;
+  for (const auto& [name, plans] : good.fk_plans) {
+    table = name;
+    column = plans.begin()->first;
+    break;
+  }
+  ASSERT_FALSE(table.empty());
+  const std::string ref =
+      good.schema.FindTable(table)->columns[column].references;
+
+  auto expect_rejected = [&](const char* what,
+                             const std::function<void(db::LearnedMigration*)>&
+                                 mutate) {
+    db::LearnedMigration bad = good;
+    mutate(&bad);
+    EXPECT_FALSE(bad.Validate().ok()) << what;
+    auto decoded =
+        pipeline::DecodeWorkerInit(pipeline::EncodeWorkerInit(
+            pipeline::WorkerInit{"/out", {}, {}, 0.25, std::move(bad)}));
+    EXPECT_FALSE(decoded.ok()) << what;
+  };
+  expect_rejected("program for an unknown table", [](db::LearnedMigration* m) {
+    m->programs["no-such-table"] = m->programs.begin()->second;
+  });
+  expect_rejected("program arity", [&](db::LearnedMigration* m) {
+    m->programs[table].columns.push_back(m->programs[table].columns[0]);
+  });
+  expect_rejected("foreign key without a plan", [&](db::LearnedMigration* m) {
+    m->fk_plans[table].erase(column);
+  });
+  expect_rejected("source column out of range", [&](db::LearnedMigration* m) {
+    m->fk_plans[table][column].source_cols[0] = 1000;
+  });
+  expect_rejected("negative source column", [&](db::LearnedMigration* m) {
+    m->fk_plans[table][column].source_cols[0] = -1;
+  });
+  expect_rejected("plan length", [&](db::LearnedMigration* m) {
+    db::ForeignKeyPlan& plan = m->fk_plans[table][column];
+    plan.source_cols.push_back(plan.source_cols[0]);
+    plan.extractors.push_back(plan.extractors[0]);
+  });
+  expect_rejected("referenced table not live", [&](db::LearnedMigration* m) {
+    m->programs.erase(ref);
+    m->fk_plans.erase(ref);
+  });
+  expect_rejected("invalid schema", [](db::LearnedMigration* m) {
+    m->schema.tables.push_back(m->schema.tables.front());
+  });
+
+  // A column kind outside the enum, patched into the wire bytes: encoding
+  // the first column with another kind locates its kind byte.
+  pipeline::WorkerInit init = InitFor(*dblp.migrator, "/out");
+  std::string payload = pipeline::EncodeWorkerInit(init);
+  db::ColumnDef& col = init.migration.schema.tables.front().columns.front();
+  col.kind = col.kind == db::ColumnKind::kData ? db::ColumnKind::kPrimaryKey
+                                               : db::ColumnKind::kData;
+  const std::string flipped = pipeline::EncodeWorkerInit(init);
+  ASSERT_EQ(flipped.size(), payload.size());
+  size_t at = 0;
+  while (at < payload.size() && payload[at] == flipped[at]) ++at;
+  ASSERT_LT(at, payload.size());
+  payload[at] = 7;
+  auto decoded = pipeline::DecodeWorkerInit(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("column kind 7"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
+/// Reads every shard of `tables` for documents [0, ndocs) under `outdir`.
+std::map<std::string, std::string> ReadShards(
+    const std::string& outdir, const std::vector<std::string>& tables,
+    size_t ndocs) {
+  std::map<std::string, std::string> out;
+  for (const std::string& table : tables) {
+    for (size_t d = 0; d < ndocs; ++d) {
+      out[table + "." + std::to_string(d)] =
+          ReadFileOrDie(pipeline::ShardPath(outdir, table, d));
+    }
+  }
+  return out;
+}
+
+TEST(LearnedMigrationFrame, Table2ThroughWorkerProcessesMatchesInProcess) {
+  const std::string root = MakeTempDir();
+  for (const LearnedDataset& d : Table2()) {
+    const std::string dir = root + "/" + d.spec->name;
+    const char* ext =
+        d.spec->format == workload::DocFormat::kXml ? ".xml" : ".json";
+    std::vector<std::string> documents;
+    for (uint32_t seed : {3u, 4u}) {
+      documents.push_back(dir + "/doc" + std::to_string(seed) + ext);
+      WriteFileOrDie(documents.back(), d.spec->generate(20, seed));
+    }
+    std::vector<std::string> tables;
+    for (const db::TableDef& t : d.spec->schema.tables) {
+      tables.push_back(t.name);
+    }
+
+    pipeline::WorkerPoolOptions pool;
+    pool.worker_exe = MITRA_CLI_BIN;
+    pool.workers = 2;
+    std::map<size_t, pipeline::FleetDocOutcome> outcomes;
+    Status st = pipeline::RunWorkerFleet(
+        documents, {0, 1}, InitFor(*d.migrator, dir + "/workers"), pool,
+        [&](size_t doc, pipeline::FleetDocOutcome out) {
+          outcomes[doc] = std::move(out);
+        });
+    ASSERT_TRUE(st.ok()) << d.spec->name << ": " << st.ToString();
+    ASSERT_EQ(outcomes.size(), 2u) << d.spec->name;
+
+    pipeline::FleetExecContext ctx;
+    ctx.migrator = d.migrator.get();
+    ctx.outdir = dir + "/in-process";
+    for (size_t doc = 0; doc < documents.size(); ++doc) {
+      ASSERT_TRUE(outcomes[doc].status.ok())
+          << d.spec->name << " doc " << doc << ": "
+          << outcomes[doc].status.ToString();
+      pipeline::FleetDocOutcome res =
+          pipeline::ExecuteFleetDocument(ctx, doc, documents[doc]);
+      ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+      EXPECT_EQ(outcomes[doc].shard_crc, res.shard_crc) << d.spec->name;
+      EXPECT_EQ(outcomes[doc].rows, res.rows) << d.spec->name;
+    }
+    const auto shards = ReadShards(ctx.outdir, tables, documents.size());
+    EXPECT_EQ(ReadShards(dir + "/workers", tables, documents.size()), shards)
+        << d.spec->name;
+
+    // Keys are generated per fleet index, so the concatenated tables form
+    // one database whose key constraints hold.
+    db::Database merged;
+    for (const std::string& table : tables) {
+      std::vector<hdt::Row> rows;
+      for (size_t doc = 0; doc < documents.size(); ++doc) {
+        auto parsed = ParseCsv(shards.at(table + "." + std::to_string(doc)));
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        rows.insert(rows.end(), parsed->begin(), parsed->end());
+      }
+      ASSERT_FALSE(rows.empty()) << d.spec->name << "." << table;
+      auto t = hdt::Table::FromRows(std::move(rows));
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      merged.tables.emplace(table, std::move(*t));
+    }
+    Status constraints =
+        db::CheckDatabaseConstraints(d.spec->schema, merged);
+    EXPECT_TRUE(constraints.ok())
+        << d.spec->name << ": " << constraints.ToString();
   }
 }
 

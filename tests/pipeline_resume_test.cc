@@ -270,7 +270,7 @@ TEST(PipelineResume, TornButParseableShardIsDetectedByCrc) {
   common::SetFileSystemForTest(nullptr);
 }
 
-TEST(PipelineResume, V1JournalIsAcceptedAndUpgradedToV2) {
+TEST(PipelineResume, V1JournalResumesNothingAndYieldsSameBytes) {
   common::MemoryFileSystem mem;
   common::SetFileSystemForTest(&mem);
   BatchManifest manifest = InstallFleet(&mem, 4);
@@ -288,8 +288,8 @@ TEST(PipelineResume, V1JournalIsAcceptedAndUpgradedToV2) {
   auto want = FinalTable("/out");
   ASSERT_TRUE(want.ok());
 
-  // Rewrite the journal in the v1 format (no CRCs, no quarantine lines),
-  // listing only documents 0 and 2 as done: an upgrade-in-place scenario.
+  // A journal in the retired v1 format (no CRCs) listing documents 0 and
+  // 2 as done reads as stale: nothing resumes, everything re-executes.
   std::string v1 = "mitra-batch-journal v1\nbatch " + key + "\n";
   v1 += "done 0 " + manifest.documents[0] + "\n";
   v1 += "done 2 " + manifest.documents[2] + "\n";
@@ -298,15 +298,13 @@ TEST(PipelineResume, V1JournalIsAcceptedAndUpgradedToV2) {
   auto second = RunBatch(manifest, opts);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->complete());
-  // v1 `done` documents resume (validated by re-parse only — v1 carries
-  // no CRC to check); the rest re-execute.
-  EXPECT_EQ(second->docs_resumed(), 2u);
-  EXPECT_EQ(second->docs_done(), 2u);
-  auto healed = FinalTable("/out");
-  ASSERT_TRUE(healed.ok());
-  EXPECT_EQ(*healed, *want);
+  EXPECT_EQ(second->docs_resumed(), 0u);
+  EXPECT_EQ(second->docs_done(), 4u);
+  auto rerun = FinalTable("/out");
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(*rerun, *want);
 
-  // The journal was upgraded: v2 magic, one CRC-carrying done line per
+  // The journal is rewritten as v2, one CRC-carrying done line per
   // document.
   auto journal = mem.ReadFile("/out/journal");
   ASSERT_TRUE(journal.ok());
