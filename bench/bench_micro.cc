@@ -10,6 +10,7 @@
 
 #include "core/column_learner.h"
 #include "core/executor.h"
+#include "core/extractor_memo.h"
 #include "core/predicate_universe.h"
 #include "core/qm.h"
 #include "core/set_cover.h"
@@ -133,8 +134,10 @@ void BM_PredicateUniverse(benchmark::State& state) {
   std::vector<std::vector<dsl::NodeTuple>> rows_per_example{
       *dsl::EvalCrossProduct(*tree, psi)};
   for (auto _ : state) {
+    // A fresh memo per iteration: each one times the per-column work too.
+    core::ExtractorMemoCache memo;
     auto universe =
-        core::ConstructPredicateUniverse(ex, psi, rows_per_example);
+        core::ConstructPredicateUniverse(ex, psi, rows_per_example, memo);
     benchmark::DoNotOptimize(universe);
   }
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/fs.h"
+#include "common/json_escape.h"
 #include "common/status.h"
 
 /// \file bench_util.h
@@ -67,33 +68,11 @@ class Args {
 };
 
 /// Minimal JSON object builder for machine-readable benchmark reports
-/// (no external dependency). Strings are escaped; `Raw` splices a
-/// pre-built JSON value (e.g. an array from JsonArray).
+/// (no external dependency). Strings are escaped with
+/// common::EscapeJsonString; `Raw` splices a pre-built JSON value (e.g.
+/// an array from JsonArray).
 class Json {
  public:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  }
-
   Json& Num(const std::string& key, double v) {
     // NaN/Inf are not valid JSON; "null" keeps the report parseable.
     if (!std::isfinite(v)) return Raw(key, "null");
@@ -105,11 +84,11 @@ class Json {
     return Raw(key, std::to_string(v));
   }
   Json& Str(const std::string& key, const std::string& v) {
-    return Raw(key, "\"" + Escape(v) + "\"");
+    return Raw(key, "\"" + common::EscapeJsonString(v) + "\"");
   }
   Json& Raw(const std::string& key, const std::string& raw) {
     if (!body_.empty()) body_ += ",";
-    body_ += "\"" + Escape(key) + "\":" + raw;
+    body_ += "\"" + common::EscapeJsonString(key) + "\":" + raw;
     return *this;
   }
   std::string Build() const { return "{" + body_ + "}"; }

@@ -222,33 +222,19 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
   const std::vector<dsl::BoundAtom> atoms =
       dsl::BindAtoms(tree, program_.atoms);
   // Memoized column evaluation: identical extractors share one result —
-  // within this program, and across programs when a ColumnCache is
-  // supplied (the paper's §9 cross-table memoization).
+  // within this program through a call-local cache, and across programs
+  // when the caller supplies one (the paper's §9 cross-table memoization).
+  ColumnCache local_cache;
+  ColumnCache& cache =
+      opts.column_cache != nullptr ? *opts.column_cache : local_cache;
   std::vector<const std::vector<hdt::NodeId>*> columns(k);
-  std::vector<std::vector<hdt::NodeId>> storage;
-  storage.reserve(k);
   for (size_t i = 0; i < k; ++i) {
-    columns[i] = nullptr;
-    if (opts.column_cache != nullptr) {
-      columns[i] = opts.column_cache->Lookup(program_.columns[i]);
-      if (columns[i] == nullptr) {
-        columns[i] = opts.column_cache->Insert(
-            program_.columns[i], dsl::EvalColumn(tree, program_.columns[i]));
-      }
-      continue;
-    }
-    for (size_t j = 0; j < i; ++j) {
-      if (program_.columns[j] == program_.columns[i]) {
-        columns[i] = columns[j];
-        break;
-      }
-    }
+    columns[i] = cache.Lookup(program_.columns[i]);
     if (columns[i] == nullptr) {
-      storage.push_back(dsl::EvalColumn(tree, program_.columns[i]));
-      columns[i] = &storage.back();
+      columns[i] = cache.Insert(program_.columns[i],
+                                dsl::EvalColumn(tree, program_.columns[i]));
     }
   }
-  // NOTE: storage reserve(k) above guarantees pointer stability.
 
   std::vector<dsl::NodeTuple> out;
   std::set<dsl::NodeTuple> seen;  // dedup across DNF clauses

@@ -113,8 +113,7 @@ std::shared_ptr<const EnumeratedEntry> ExtractorMemoCache::Extractors(
 std::shared_ptr<const std::vector<std::string>> ExtractorMemoCache::Constants(
     const Examples& examples, size_t max_constants) {
   return GetOrCompute(&constants_, "$constants", [&] {
-    // First-seen order over all example trees, exactly mirroring the
-    // original in-line construction in ConstructPredicateUniverse.
+    // First-seen order over all example trees.
     std::vector<std::string> constants;
     std::unordered_set<std::string> seen;
     for (const Example& e : examples) {

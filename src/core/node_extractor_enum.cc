@@ -4,8 +4,6 @@
 #include <set>
 #include <string>
 
-#include "dsl/eval.h"
-
 namespace mitra::core {
 
 Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractorsFromSources(
@@ -95,23 +93,6 @@ Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractorsFromSources(
     if (level_begin == out.size()) break;  // fixpoint: nothing new
   }
   return out;
-}
-
-Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractors(
-    const Examples& examples, const dsl::ColumnExtractor& pi,
-    const NodeExtractorEnumOptions& opts) {
-  if (examples.empty()) {
-    return Status::InvalidArgument("no examples provided");
-  }
-  std::vector<const hdt::Hdt*> trees;
-  std::vector<std::vector<hdt::NodeId>> sources;
-  trees.reserve(examples.size());
-  sources.reserve(examples.size());
-  for (const Example& e : examples) {
-    trees.push_back(e.tree);
-    sources.push_back(dsl::EvalColumn(*e.tree, pi));
-  }
-  return EnumerateNodeExtractorsFromSources(trees, sources, opts);
 }
 
 }  // namespace mitra::core

@@ -5,8 +5,8 @@
 
 #include "common/governor.h"
 #include "common/status.h"
-#include "core/example.h"
 #include "dsl/ast.h"
+#include "hdt/hdt.h"
 
 /// \file node_extractor_enum.h
 /// Enumeration of the valid node extractors χᵢ for a column (Fig. 10,
@@ -39,18 +39,14 @@ struct EnumeratedExtractor {
   std::vector<std::vector<hdt::NodeId>> targets;
 };
 
-/// Enumerates χᵢ for the column whose extractor is `pi`, breadth-first by
-/// depth. Two extractors with identical behavior on all source nodes are
-/// merged, keeping the shallower one (behavioral dedup keeps the
-/// predicate universe and the ILP instance small without losing any
-/// distinguishing power).
-Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractors(
-    const Examples& examples, const dsl::ColumnExtractor& pi,
-    const NodeExtractorEnumOptions& opts = {});
-
-/// Lower-level variant over explicit source node lists (one list per
-/// tree); used by the foreign-key learner (§6), whose sources are the
-/// per-row tuple components rather than a column extraction.
+/// Enumerates the node extractors that are valid on explicit source node
+/// lists (one list per tree), breadth-first by depth. For χᵢ the sources
+/// are the nodes the column's πᵢ produces on each example
+/// (ExtractorMemoCache::Extractors); the foreign-key learner (§6) passes
+/// the per-row tuple components instead. Two extractors with identical
+/// behavior on all source nodes are merged, keeping the shallower one
+/// (behavioral dedup keeps the predicate universe and the ILP instance
+/// small without losing any distinguishing power).
 Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractorsFromSources(
     const std::vector<const hdt::Hdt*>& trees,
     const std::vector<std::vector<hdt::NodeId>>& sources,

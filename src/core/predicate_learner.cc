@@ -223,34 +223,26 @@ Result<Candidate> LearnClassifier(const PredicateUniverse& universe,
 
 Result<LearnedPredicate> LearnPredicate(
     const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
-    const PredicateLearnOptions& opts) {
+    ExtractorMemoCache& memo, const PredicateLearnOptions& opts) {
   common::Governor* const gov = opts.universe.governor;
   MITRA_GOV_CHECK(gov, "learner/start");
   // --- intermediate tables & E+/E- split (Alg. 3 lines 5-10) -------------
+  // Column extractions come from the cross-candidate cache; only the
+  // odometer product is rebuilt per ψ.
+  std::vector<std::shared_ptr<const ColumnEvalEntry>> entries;
+  entries.reserve(psi.size());
+  for (const dsl::ColumnExtractor& pi : psi) {
+    entries.push_back(memo.Columns(examples, pi));
+  }
   std::vector<std::vector<dsl::NodeTuple>> rows_per_example;
   rows_per_example.reserve(examples.size());
-  if (opts.universe.memo != nullptr) {
-    // Column extractions come from the cross-candidate cache; only the
-    // odometer product is rebuilt per ψ.
-    std::vector<std::shared_ptr<const ColumnEvalEntry>> entries;
-    entries.reserve(psi.size());
-    for (const dsl::ColumnExtractor& pi : psi) {
-      entries.push_back(opts.universe.memo->Columns(examples, pi));
-    }
-    for (size_t e = 0; e < examples.size(); ++e) {
-      std::vector<const std::vector<hdt::NodeId>*> cols;
-      cols.reserve(psi.size());
-      for (const auto& entry : entries) cols.push_back(&entry->values[e]);
-      MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
-                             CrossProductFromColumns(cols, opts.eval));
-      rows_per_example.push_back(std::move(rows));
-    }
-  } else {
-    for (const Example& e : examples) {
-      MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
-                             dsl::EvalCrossProduct(*e.tree, psi, opts.eval));
-      rows_per_example.push_back(std::move(rows));
-    }
+  for (size_t e = 0; e < examples.size(); ++e) {
+    std::vector<const std::vector<hdt::NodeId>*> cols;
+    cols.reserve(psi.size());
+    for (const auto& entry : entries) cols.push_back(&entry->values[e]);
+    MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
+                           CrossProductFromColumns(cols, opts.eval));
+    rows_per_example.push_back(std::move(rows));
   }
 
   size_t num_rows = 0;
@@ -309,7 +301,7 @@ Result<LearnedPredicate> LearnPredicate(
   // --- predicate universe (Alg. 3 line 4) ---------------------------------
   MITRA_ASSIGN_OR_RETURN(
       PredicateUniverse universe,
-      ConstructPredicateUniverse(examples, psi, rows_per_example,
+      ConstructPredicateUniverse(examples, psi, rows_per_example, memo,
                                  opts.universe));
   out.universe_size = universe.atoms.size();
 

@@ -42,10 +42,13 @@ struct LearnedPredicate {
 
 /// Learns φ such that filter(ψ, λt.φ) reproduces every example's output
 /// table. Fails with kSynthesisFailure when no classifier exists in the
-/// universe (the paper's ⊥ case, Alg. 1 line 10).
+/// universe (the paper's ⊥ case, Alg. 1 line 10). ψ's columns, their node
+/// extractors and the constant pool are read through `memo` (see
+/// extractor_memo.h), which one synthesis run shares across its ψ; one memo
+/// serves one `examples` and one `opts`.
 Result<LearnedPredicate> LearnPredicate(
     const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
-    const PredicateLearnOptions& opts = {});
+    ExtractorMemoCache& memo, const PredicateLearnOptions& opts = {});
 
 }  // namespace mitra::core
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "core/extractor_memo.h"
@@ -17,14 +16,6 @@ namespace {
 
 using dsl::Atom;
 using dsl::CmpOp;
-
-/// Per (column, node extractor): facts for each column value of each
-/// example, aligned with the column's EvalColumn order. A non-owning view
-/// into either the memo cache or locally computed storage.
-struct ExtractorFactsView {
-  const dsl::NodeExtractor* extractor = nullptr;
-  const std::vector<std::vector<TargetFacts>>* facts = nullptr;
-};
 
 int CompareFacts(const TargetFacts& a, const TargetFacts& b) {
   if (a.number && b.number) {
@@ -132,14 +123,17 @@ class AtomCollector {
 /// tag the bit count is fixed by the columns' value counts).
 class PatternDedup {
  public:
-  bool IsNew(uint32_t tag, DynBitset pattern) {
+  /// Stores `pattern` under `tag` unless an equal one is stored already.
+  /// Returns the stored pattern when it is new (valid until the next
+  /// call), nullptr for a duplicate.
+  const DynBitset* Insert(uint32_t tag, DynBitset pattern) {
     uint64_t h = HashCombine(pattern.Hash(), tag);
     auto& bucket = seen_[h];
     for (const Key& key : bucket) {
-      if (key.tag == tag && key.pattern == pattern) return false;
+      if (key.tag == tag && key.pattern == pattern) return nullptr;
     }
     bucket.push_back(Key{tag, std::move(pattern)});
-    return true;
+    return &bucket.back().pattern;
   }
 
   static uint32_t UnaryTag(size_t i) { return static_cast<uint32_t>(i); }
@@ -156,12 +150,22 @@ class PatternDedup {
   std::unordered_map<uint64_t, std::vector<Key>> seen_;
 };
 
+/// Row truth from a pattern: row r takes the pattern's bit `bit_of_row[r]`.
+DynBitset Broadcast(const DynBitset& pattern,
+                    const std::vector<size_t>& bit_of_row) {
+  DynBitset bits(bit_of_row.size());
+  for (size_t r = 0; r < bit_of_row.size(); ++r) {
+    if (pattern.Test(bit_of_row[r])) bits.Set(r);
+  }
+  return bits;
+}
+
 }  // namespace
 
 Result<PredicateUniverse> ConstructPredicateUniverse(
     const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
     const std::vector<std::vector<dsl::NodeTuple>>& rows_per_example,
-    const PredicateUniverseOptions& opts) {
+    ExtractorMemoCache& memo, const PredicateUniverseOptions& opts) {
   MITRA_SPAN(span, "predicate/universe");
   const size_t k = psi.size();
   const size_t num_examples = examples.size();
@@ -170,32 +174,16 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
         "rows_per_example size must match examples");
   }
 
-  // Column domains and per-row column-value indices.
-  // col_values[i][e] = EvalColumn(tree_e, psi[i]). Pointers into either
-  // the memo cache (kept alive by column_entries) or local storage.
-  std::vector<std::shared_ptr<const ColumnEvalEntry>> column_entries(k);
-  std::vector<std::vector<std::vector<hdt::NodeId>>> local_col_values;
-  std::vector<const std::vector<std::vector<hdt::NodeId>>*> col_values(k);
-  if (opts.memo == nullptr) local_col_values.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    if (opts.memo != nullptr) {
-      column_entries[i] = opts.memo->Columns(examples, psi[i]);
-      col_values[i] = &column_entries[i]->values;
-    } else {
-      local_col_values[i].resize(num_examples);
-      for (size_t e = 0; e < num_examples; ++e) {
-        local_col_values[i][e] = dsl::EvalColumn(*examples[e].tree, psi[i]);
-      }
-      col_values[i] = &local_col_values[i];
-    }
-  }
-  // value_index[i][e]: NodeId → index into (*col_values[i])[e].
+  // Column domains: columns[i]->values[e] = EvalColumn(tree_e, psi[i]).
+  std::vector<std::shared_ptr<const ColumnEvalEntry>> columns(k);
+  for (size_t i = 0; i < k; ++i) columns[i] = memo.Columns(examples, psi[i]);
+  // value_index[i][e]: NodeId → index into columns[i]->values[e].
   std::vector<std::vector<std::unordered_map<hdt::NodeId, int>>> value_index(
       k);
   for (size_t i = 0; i < k; ++i) {
     value_index[i].resize(num_examples);
     for (size_t e = 0; e < num_examples; ++e) {
-      const auto& values = (*col_values[i])[e];
+      const auto& values = columns[i]->values[e];
       for (size_t v = 0; v < values.size(); ++v) {
         value_index[i][e].emplace(values[v], static_cast<int>(v));
       }
@@ -205,13 +193,17 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   size_t num_rows = 0;
   for (const auto& rows : rows_per_example) num_rows += rows.size();
 
-  // row_value_idx[i][r] = column-i value index of global row r.
+  // Global row r (the examples' cross products, concatenated in order)
+  // comes from example row_example[r] and holds column i's value
+  // row_value_idx[i][r].
+  std::vector<int> row_example(num_rows);
   std::vector<std::vector<int>> row_value_idx(k,
                                               std::vector<int>(num_rows, 0));
   {
     size_t r = 0;
     for (size_t e = 0; e < num_examples; ++e) {
       for (const dsl::NodeTuple& t : rows_per_example[e]) {
+        row_example[r] = static_cast<int>(e);
         for (size_t i = 0; i < k; ++i) {
           row_value_idx[i][r] = value_index[i][e].at(t[i]);
         }
@@ -219,72 +211,19 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
       }
     }
   }
-  // row_example[r] = example index of global row r.
-  std::vector<int> row_example(num_rows);
-  {
-    size_t r = 0;
-    for (size_t e = 0; e < num_examples; ++e) {
-      for (size_t j = 0; j < rows_per_example[e].size(); ++j) {
-        row_example[r++] = static_cast<int>(e);
-      }
-    }
-  }
 
   // χi: valid node extractors per column, with pre-extracted facts.
   NodeExtractorEnumOptions ne = opts.node_enum;
   ne.max_extractors = opts.max_extractors_per_column;
-  std::vector<std::shared_ptr<const EnumeratedEntry>> enum_entries(k);
-  std::vector<std::vector<ExtractorWithFacts>> local_chi;
-  std::vector<std::vector<ExtractorFactsView>> chi(k);
-  if (opts.memo == nullptr) local_chi.resize(k);
+  std::vector<std::shared_ptr<const EnumeratedEntry>> chi(k);
   for (size_t i = 0; i < k; ++i) {
-    const std::vector<ExtractorWithFacts>* source = nullptr;
-    if (opts.memo != nullptr) {
-      enum_entries[i] = opts.memo->Extractors(examples, psi[i], ne);
-      if (!enum_entries[i]->status.ok()) return enum_entries[i]->status;
-      source = &enum_entries[i]->extractors;
-    } else {
-      MITRA_ASSIGN_OR_RETURN(std::vector<EnumeratedExtractor> enumerated,
-                             EnumerateNodeExtractors(examples, psi[i], ne));
-      local_chi[i].reserve(enumerated.size());
-      for (EnumeratedExtractor& ee : enumerated) {
-        ExtractorWithFacts ef;
-        ef.extractor = std::move(ee.extractor);
-        ef.facts.resize(num_examples);
-        for (size_t e = 0; e < num_examples; ++e) {
-          const hdt::Hdt& tree = *examples[e].tree;
-          ef.facts[e].reserve(ee.targets[e].size());
-          for (hdt::NodeId m : ee.targets[e]) {
-            ef.facts[e].push_back(FactsFor(tree, m));
-          }
-        }
-        local_chi[i].push_back(std::move(ef));
-      }
-      source = &local_chi[i];
-    }
-    chi[i].reserve(source->size());
-    for (const ExtractorWithFacts& ef : *source) {
-      chi[i].push_back(ExtractorFactsView{&ef.extractor, &ef.facts});
-    }
+    chi[i] = memo.Extractors(examples, psi[i], ne);
+    if (!chi[i]->status.ok()) return chi[i]->status;
   }
 
   // Constant pool (rule 4): data values of the input trees.
-  std::shared_ptr<const std::vector<std::string>> constants_entry;
-  std::vector<std::string> local_constants;
-  const std::vector<std::string>* constants = nullptr;
-  if (opts.memo != nullptr) {
-    constants_entry = opts.memo->Constants(examples, opts.max_constants);
-    constants = constants_entry.get();
-  } else {
-    std::unordered_set<std::string> seen;
-    for (const Example& e : examples) {
-      for (std::string& v : e.tree->AllDataValues()) {
-        if (local_constants.size() >= opts.max_constants) break;
-        if (seen.insert(v).second) local_constants.push_back(std::move(v));
-      }
-    }
-    constants = &local_constants;
-  }
+  std::shared_ptr<const std::vector<std::string>> constants =
+      memo.Constants(examples, opts.max_constants);
   std::vector<std::optional<double>> constant_nums;
   constant_nums.reserve(constants->size());
   for (const std::string& c : *constants) {
@@ -318,48 +257,34 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   AtomCollector collector(num_rows, opts.max_atoms);
   PatternDedup pattern_dedup;
 
-  // Total column-value count per column (the unary pattern length).
-  auto total_values = [&](size_t i) {
-    size_t n = 0;
-    for (size_t e = 0; e < num_examples; ++e) {
-      n += (*col_values[i])[e].size();
-    }
-    return n;
-  };
-
-  // Broadcast helper: truth over column-i values → truth over rows.
-  auto broadcast_unary = [&](size_t i,
-                             const std::vector<std::vector<bool>>& per_value)
-      -> DynBitset {
-    DynBitset bits(num_rows);
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (per_value[static_cast<size_t>(row_example[r])]
-                   [static_cast<size_t>(row_value_idx[i][r])]) {
-        bits.Set(r);
-      }
-    }
-    return bits;
-  };
-
-  // Rule (4): ((λn.ϕ) t[i]) ⋈ c.
+  // Rule (4): ((λn.ϕ) t[i]) ⋈ c. The pattern runs over (example, value),
+  // so row r reads bit offset[e] + v for its example e and column-i value
+  // v, where offset[e] counts the column's values in earlier examples.
   for (size_t i = 0; i < k && !collector.Full(); ++i) {
-    const size_t pattern_bits = total_values(i);
-    for (const ExtractorFactsView& ef : chi[i]) {
+    std::vector<size_t> offset(num_examples, 0);
+    size_t pattern_bits = 0;
+    for (size_t e = 0; e < num_examples; ++e) {
+      offset[e] = pattern_bits;
+      pattern_bits += columns[i]->values[e].size();
+    }
+    std::vector<size_t> bit_of_row(num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      bit_of_row[r] = offset[static_cast<size_t>(row_example[r])] +
+                      static_cast<size_t>(row_value_idx[i][r]);
+    }
+    for (const ExtractorWithFacts& ef : chi[i]->extractors) {
       MITRA_GOV_CHECK(opts.governor, "universe/unary");
       for (size_t ci = 0; ci < constants->size(); ++ci) {
         for (CmpOp op : ops) {
           if (collector.Full()) break;
           MITRA_COUNT("predicate/universe/atoms_considered", 1);
-          std::vector<std::vector<bool>> per_value(num_examples);
           DynBitset pattern(pattern_bits);
           size_t bit = 0;
           bool any_true = false, any_false = false;
           for (size_t e = 0; e < num_examples; ++e) {
-            per_value[e].reserve((*ef.facts)[e].size());
-            for (const TargetFacts& tf : (*ef.facts)[e]) {
+            for (const TargetFacts& tf : ef.facts[e]) {
               bool v = EvalNodeConst(op, tf, (*constants)[ci],
                                      constant_nums[ci], constant_ids[e][ci]);
-              per_value[e].push_back(v);
               if (v) pattern.Set(bit);
               ++bit;
               (v ? any_true : any_false) = true;
@@ -369,8 +294,9 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
             MITRA_COUNT("predicate/universe/atoms_const_dropped", 1);
             continue;                     // constant per row
           }
-          if (!pattern_dedup.IsNew(PatternDedup::UnaryTag(i),
-                                   std::move(pattern))) {
+          const DynBitset* stored = pattern_dedup.Insert(
+              PatternDedup::UnaryTag(i), std::move(pattern));
+          if (stored == nullptr) {
             MITRA_COUNT("predicate/universe/atoms_deduped", 1);
             continue;
           }
@@ -379,12 +305,12 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
                 num_rows / 8 + 32, "alloc/universe-atom"));
           }
           Atom a;
-          a.lhs_path = *ef.extractor;
+          a.lhs_path = ef.extractor;
           a.lhs_col = static_cast<int>(i);
           a.op = op;
           a.rhs_is_const = true;
           a.rhs_const = (*constants)[ci];
-          collector.Add(std::move(a), broadcast_unary(i, per_value));
+          collector.Add(std::move(a), Broadcast(*stored, bit_of_row));
         }
       }
     }
@@ -398,93 +324,93 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   // the one that generalizes.
   for (size_t i = 0; i < k && !collector.Full(); ++i) {
     for (size_t j = 0; j < k && !collector.Full(); ++j) {
+      const std::vector<ExtractorWithFacts>& chi_i = chi[i]->extractors;
+      const std::vector<ExtractorWithFacts>& chi_j = chi[j]->extractors;
       std::vector<std::pair<size_t, size_t>> pairs;
-      pairs.reserve(chi[i].size() * chi[j].size());
-      for (size_t a = 0; a < chi[i].size(); ++a) {
-        for (size_t b = 0; b < chi[j].size(); ++b) {
+      pairs.reserve(chi_i.size() * chi_j.size());
+      for (size_t a = 0; a < chi_i.size(); ++a) {
+        for (size_t b = 0; b < chi_j.size(); ++b) {
           pairs.emplace_back(a, b);
         }
       }
-      auto depth_of = [&](size_t col, size_t idx) {
-        return chi[col][idx].extractor->NumConstructs();
+      auto depth_of = [](const std::vector<ExtractorWithFacts>& chi_col,
+                         size_t idx) {
+        return chi_col[idx].extractor.NumConstructs();
       };
       std::stable_sort(
           pairs.begin(), pairs.end(),
           [&](const auto& x, const auto& y) {
-            int dx1 = depth_of(i, x.first), dx2 = depth_of(j, x.second);
-            int dy1 = depth_of(i, y.first), dy2 = depth_of(j, y.second);
+            int dx1 = depth_of(chi_i, x.first), dx2 = depth_of(chi_j, x.second);
+            int dy1 = depth_of(chi_i, y.first), dy2 = depth_of(chi_j, y.second);
             if (dx1 + dx2 != dy1 + dy2) return dx1 + dx2 < dy1 + dy2;
             return std::abs(dx1 - dx2) < std::abs(dy1 - dy2);
           });
+      // The pattern runs over (example, value_i, value_j), so row r reads
+      // bit offset[e] + v_i * n_j[e] + v_j, where offset[e] counts the
+      // value pairs of earlier examples.
+      std::vector<size_t> offset(num_examples, 0);
       size_t pattern_bits = 0;
       for (size_t e = 0; e < num_examples; ++e) {
+        offset[e] = pattern_bits;
         pattern_bits +=
-            (*col_values[i])[e].size() * (*col_values[j])[e].size();
+            columns[i]->values[e].size() * columns[j]->values[e].size();
+      }
+      std::vector<size_t> bit_of_row(num_rows);
+      for (size_t r = 0; r < num_rows; ++r) {
+        const size_t e = static_cast<size_t>(row_example[r]);
+        bit_of_row[r] = offset[e] +
+                        static_cast<size_t>(row_value_idx[i][r]) *
+                            columns[j]->values[e].size() +
+                        static_cast<size_t>(row_value_idx[j][r]);
       }
       for (const auto& [pi1, pi2] : pairs) {
-        {
-          if (collector.Full()) break;
-          MITRA_GOV_CHECK(opts.governor, "universe/binary");
-          for (CmpOp op : ops) {
-            // Equality is symmetric: keep the canonical orientation only.
-            if (op == CmpOp::kEq &&
-                (j < i || (j == i && pi2 <= pi1))) {
-              continue;
-            }
-            if (op != CmpOp::kEq && i == j && pi1 == pi2) continue;
-            MITRA_COUNT("predicate/universe/atoms_considered", 1);
-            const ExtractorFactsView& f1 = chi[i][pi1];
-            const ExtractorFactsView& f2 = chi[j][pi2];
-            // Evaluate per (value_i, value_j) pair, then broadcast.
-            std::vector<std::vector<std::vector<bool>>> per_pair(
-                num_examples);
-            DynBitset pattern(pattern_bits);
-            size_t bit = 0;
-            bool any_true = false, any_false = false;
-            for (size_t e = 0; e < num_examples; ++e) {
-              size_t ni = (*f1.facts)[e].size(), nj = (*f2.facts)[e].size();
-              per_pair[e].assign(ni, std::vector<bool>(nj, false));
-              for (size_t a = 0; a < ni; ++a) {
-                for (size_t b = 0; b < nj; ++b) {
-                  bool v = EvalNodeNode(op, (*f1.facts)[e][a],
-                                        (*f2.facts)[e][b]);
-                  per_pair[e][a][b] = v;
-                  if (v) pattern.Set(bit);
-                  ++bit;
-                  (v ? any_true : any_false) = true;
-                }
-              }
-            }
-            if (!any_true || !any_false) {
-              MITRA_COUNT("predicate/universe/atoms_const_dropped", 1);
-              continue;
-            }
-            if (!pattern_dedup.IsNew(PatternDedup::BinaryTag(i, j),
-                                     std::move(pattern))) {
-              MITRA_COUNT("predicate/universe/atoms_deduped", 1);
-              continue;
-            }
-            DynBitset bits(num_rows);
-            for (size_t r = 0; r < num_rows; ++r) {
-              if (per_pair[static_cast<size_t>(row_example[r])]
-                          [static_cast<size_t>(row_value_idx[i][r])]
-                          [static_cast<size_t>(row_value_idx[j][r])]) {
-                bits.Set(r);
-              }
-            }
-            if (opts.governor != nullptr) {
-              MITRA_RETURN_IF_ERROR(opts.governor->ChargeBytes(
-                  num_rows / 8 + 32, "alloc/universe-atom"));
-            }
-            Atom a;
-            a.lhs_path = *f1.extractor;
-            a.lhs_col = static_cast<int>(i);
-            a.op = op;
-            a.rhs_is_const = false;
-            a.rhs_path = *f2.extractor;
-            a.rhs_col = static_cast<int>(j);
-            collector.Add(std::move(a), std::move(bits));
+        if (collector.Full()) break;
+        MITRA_GOV_CHECK(opts.governor, "universe/binary");
+        for (CmpOp op : ops) {
+          // Equality is symmetric: keep the canonical orientation only.
+          if (op == CmpOp::kEq && (j < i || (j == i && pi2 <= pi1))) {
+            continue;
           }
+          if (op != CmpOp::kEq && i == j && pi1 == pi2) continue;
+          MITRA_COUNT("predicate/universe/atoms_considered", 1);
+          const ExtractorWithFacts& f1 = chi_i[pi1];
+          const ExtractorWithFacts& f2 = chi_j[pi2];
+          DynBitset pattern(pattern_bits);
+          size_t bit = 0;
+          bool any_true = false, any_false = false;
+          for (size_t e = 0; e < num_examples; ++e) {
+            for (const TargetFacts& a : f1.facts[e]) {
+              for (const TargetFacts& b : f2.facts[e]) {
+                bool v = EvalNodeNode(op, a, b);
+                if (v) pattern.Set(bit);
+                ++bit;
+                (v ? any_true : any_false) = true;
+              }
+            }
+          }
+          if (!any_true || !any_false) {
+            MITRA_COUNT("predicate/universe/atoms_const_dropped", 1);
+            continue;
+          }
+          const DynBitset* stored = pattern_dedup.Insert(
+              PatternDedup::BinaryTag(i, j), std::move(pattern));
+          if (stored == nullptr) {
+            MITRA_COUNT("predicate/universe/atoms_deduped", 1);
+            continue;
+          }
+          DynBitset bits = Broadcast(*stored, bit_of_row);
+          if (opts.governor != nullptr) {
+            MITRA_RETURN_IF_ERROR(opts.governor->ChargeBytes(
+                num_rows / 8 + 32, "alloc/universe-atom"));
+          }
+          Atom a;
+          a.lhs_path = f1.extractor;
+          a.lhs_col = static_cast<int>(i);
+          a.op = op;
+          a.rhs_is_const = false;
+          a.rhs_path = f2.extractor;
+          a.rhs_col = static_cast<int>(j);
+          collector.Add(std::move(a), std::move(bits));
         }
       }
     }

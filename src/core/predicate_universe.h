@@ -20,7 +20,12 @@
 /// Engineering notes (behaviour-preserving optimizations):
 ///  - an atom referencing t[i] (and t[j]) has truth determined by the
 ///    node(s) in those tuple positions alone, so truth is evaluated once
-///    per column-value (pair) and then broadcast to rows;
+///    per column value (pair) into a packed pattern, in (example,
+///    value[, value]) order, and each row reads its bit from that
+///    pattern;
+///  - column values, node extractors with their target facts and the
+///    constant pool come from the caller's ExtractorMemoCache, so the ψ
+///    candidates of one synthesis run share them;
 ///  - atoms with identical truth vectors are merged, keeping the cheapest
 ///    (they are interchangeable for classification; Occam prefers cheap);
 ///  - atoms with constant truth (all rows true, or all false) are dropped:
@@ -43,12 +48,6 @@ struct PredicateUniverseOptions {
   bool use_inequalities = true;
   /// Hard cap on surviving (deduped) atoms.
   size_t max_atoms = 20'000;
-  /// Optional cross-candidate memo cache (see extractor_memo.h): caches
-  /// EvalColumn results, enumerated node extractors, and target facts
-  /// across the ψ candidates of one synthesis run. Purely a performance
-  /// device — the constructed universe is identical with or without it.
-  /// Not owned; must outlive all calls that use these options.
-  ExtractorMemoCache* memo = nullptr;
   /// Optional resource governor: rule-4/5 loops check it per candidate
   /// atom batch and charge bytes for every kept truth vector.
   common::Governor* governor = nullptr;
@@ -66,10 +65,12 @@ struct PredicateUniverse {
 
 /// Builds Φ for table extractor `psi`. `rows_per_example[e]` must be the
 /// materialized cross product ⟦ψ⟧ on example e (from dsl::EvalCrossProduct).
+/// `memo` supplies the per-column work (see extractor_memo.h); one memo
+/// serves one `examples` and one `opts`.
 Result<PredicateUniverse> ConstructPredicateUniverse(
     const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
     const std::vector<std::vector<dsl::NodeTuple>>& rows_per_example,
-    const PredicateUniverseOptions& opts = {});
+    ExtractorMemoCache& memo, const PredicateUniverseOptions& opts = {});
 
 }  // namespace mitra::core
 

@@ -42,47 +42,40 @@ size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   return dist;
 }
 
-/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
-/// are compared as sets of rows since the cross-product semantics can
-/// produce benign duplicates when distinct node tuples project to the
-/// same data row). On success, `excess` receives the total number of
-/// duplicate rows produced across examples — a semantic-tightness signal
-/// used as a ranking tie-breaker: a program that keeps extra witnesses on
-/// the training example (typically via a coincidental data-level
-/// equality) will mis-pair rows at scale. `spread` receives the summed
-/// TreeDistance from each output tuple's first node to its others — the
-/// structural-cohesion tie-breaker that follows `excess` in RankedCost.
+/// Verifies ⟦P⟧T = R on every example through MatchRowSet. On success,
+/// `excess` receives the total number of duplicate rows produced across
+/// examples — a semantic-tightness signal used as a ranking tie-breaker: a
+/// program that keeps extra witnesses on the training example (typically
+/// via a coincidental data-level equality) will mis-pair rows at scale.
+/// `spread` receives the summed TreeDistance from each output tuple's
+/// first node to its others — the structural-cohesion tie-breaker that
+/// follows `excess` in RankedCost.
 ///
-/// `want_norm[i]` must be examples[i].table already Dedup()ed and
-/// SortRows()ed — the normalization is invariant across candidates, so
-/// the caller hoists it out of the Phase-2 loop instead of paying a table
-/// copy + sort per combo.
+/// `want_sets[i]` must be RowSet(*examples[i].table) — the normalization
+/// is invariant across candidates, so the caller hoists it out of the
+/// Phase-2 loop instead of paying a table copy + sort per combo.
 bool VerifyProgram(const Examples& examples,
-                   const std::vector<hdt::Table>& want_norm,
+                   const std::vector<hdt::Table>& want_sets,
                    const dsl::Program& p, const dsl::EvalOptions& eval,
                    size_t* excess, size_t* spread) {
   *excess = 0;
   *spread = 0;
   for (size_t ei = 0; ei < examples.size(); ++ei) {
-    const Example& e = examples[ei];
-    auto tuples = dsl::EvalProgramNodeTuples(*e.tree, p, eval);
+    const hdt::Hdt& tree = *examples[ei].tree;
+    auto tuples = MatchRowSet(tree, p, want_sets[ei], eval);
     if (!tuples.ok()) return false;
-    hdt::Table got(p.columns.size());
+    // The row sets match, so the tuples beyond the wanted rows are
+    // duplicates.
+    *excess += tuples->size() - want_sets[ei].NumRows();
+    // Structural cohesion: rows are relations between tree nodes (§1),
+    // and among otherwise-equal programs the one whose witness nodes sit
+    // close together in the tree is the intended relation — not a
+    // coincidental value match pulled from a distant subtree.
     for (const dsl::NodeTuple& t : *tuples) {
-      if (!got.AppendRow(dsl::ProjectData(*e.tree, t)).ok()) return false;
-      // Structural cohesion: rows are relations between tree nodes (§1),
-      // and among otherwise-equal programs the one whose witness nodes
-      // sit close together in the tree is the intended relation — not a
-      // coincidental value match pulled from a distant subtree.
       for (size_t i = 1; i < t.size(); ++i) {
-        *spread += TreeDistance(*e.tree, t[0], t[i]);
+        *spread += TreeDistance(tree, t[0], t[i]);
       }
     }
-    size_t raw_rows = got.NumRows();
-    got.Dedup();
-    got.SortRows();
-    *excess += raw_rows - got.NumRows();
-    if (got.rows() != want_norm[ei].rows()) return false;
   }
   return true;
 }
@@ -93,11 +86,11 @@ bool VerifyProgram(const Examples& examples,
 /// column by index and apply node extractors to its listed nodes), so
 /// every ψ with one key learns the same atoms and formula and verifies
 /// alike; only the extractor cost of its own columns tells them apart.
-/// Without a memo the lists are evaluated here, so the key never shows up
-/// in memo traffic.
+/// The lists come from the run's extractor memo, which LearnPredicate
+/// reads them from too.
 std::string InstanceKey(const Examples& examples,
                         const std::vector<dsl::ColumnExtractor>& psi,
-                        ExtractorMemoCache* memo) {
+                        ExtractorMemoCache& memo) {
   std::string key;
   auto append = [&key](const std::vector<hdt::NodeId>& nodes) {
     const uint64_t n = nodes.size();
@@ -106,12 +99,8 @@ std::string InstanceKey(const Examples& examples,
                nodes.size() * sizeof(hdt::NodeId));
   };
   for (const dsl::ColumnExtractor& pi : psi) {
-    if (memo != nullptr) {
-      for (const auto& nodes : memo->Columns(examples, pi)->values) {
-        append(nodes);
-      }
-    } else {
-      for (const Example& e : examples) append(dsl::EvalColumn(*e.tree, pi));
+    for (const auto& nodes : memo.Columns(examples, pi)->values) {
+      append(nodes);
     }
   }
   return key;
@@ -196,37 +185,38 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
   }
 
   // Phase 1: column extractors (Alg. 1 lines 4-5). The k learners are
-  // independent; under the pool each gets its own ColSymbolPool, which is
-  // safe because EnumerateAcceptedPrograms orders symbols by content, not
-  // by interned id, so per-column pools yield the same candidate lists as
-  // the shared pool.
+  // independent and run as one ParallelForStatus, inline without a pool.
+  // Each gets its own ColSymbolPool, which is safe because
+  // EnumerateAcceptedPrograms orders symbols by content, not by interned
+  // id, so per-column pools yield the same candidate lists as a shared
+  // pool. Every column is learned, past a failing one too, so Phase 1
+  // does the same work at every thread count; the error is the first
+  // failing column's in column order, else the token's cause.
   ColumnLearnOptions copts = opts.column;
   copts.dfa.governor = gov;
   copts.enumerate.governor = gov;
   std::vector<std::vector<dsl::ColumnExtractor>> candidates(k);
   {
     MITRA_SPAN(span_phase1, "synth/phase1");
-    if (tpool != nullptr && k > 1) {
-      MITRA_RETURN_IF_ERROR(common::ParallelForStatus(
-          tpool, k,
-          [&](size_t j) -> Status {
-            ColSymbolPool col_pool;
-            MITRA_ASSIGN_OR_RETURN(
-                candidates[j],
-                LearnColumnExtractors(examples, static_cast<int>(j), &col_pool,
-                                      copts));
-            return Status::OK();
-          },
-          gov->token()));
-    } else {
-      ColSymbolPool pool;
-      for (size_t j = 0; j < k; ++j) {
-        MITRA_GOV_CHECK(gov, "synth/column");
-        MITRA_ASSIGN_OR_RETURN(
-            candidates[j],
-            LearnColumnExtractors(examples, static_cast<int>(j), &pool, copts));
-      }
-    }
+    std::vector<Status> column_status(k);
+    // Bodies return OK, so the loop's own status can only be the token's
+    // cause, which is checked below once no column failed.
+    (void)common::ParallelForStatus(
+        tpool, k,
+        [&](size_t j) -> Status {
+          ColSymbolPool col_pool;
+          auto learned = LearnColumnExtractors(
+              examples, static_cast<int>(j), &col_pool, copts);
+          if (learned.ok()) {
+            candidates[j] = std::move(learned).value();
+          } else {
+            column_status[j] = learned.status();
+          }
+          return Status::OK();
+        },
+        gov->token());
+    for (const Status& st : column_status) MITRA_RETURN_IF_ERROR(st);
+    if (gov->token()->cancelled()) return gov->token()->cause();
   }
   MITRA_COUNT("synth/phase1/columns", k);
   for (size_t j = 0; j < k; ++j) {
@@ -261,7 +251,6 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
   // to this call; purely a performance device.
   ExtractorMemoCache memo;
   PredicateLearnOptions popts = opts.predicate;
-  if (opts.memoize_extractors) popts.universe.memo = &memo;
   // One governor pointer for the whole run: the memo cache requires
   // identical options across combos, and a shared token is what makes a
   // single overrun stop every in-flight sibling.
@@ -269,16 +258,11 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
   popts.universe.node_enum.governor = gov;
   popts.eval.governor = gov;
 
-  // The expected tables normalized once (Dedup + SortRows is invariant
-  // across candidates; hoisted out of the per-combo verification).
-  std::vector<hdt::Table> want_norm;
-  want_norm.reserve(examples.size());
-  for (const Example& e : examples) {
-    hdt::Table t = *e.table;
-    t.Dedup();
-    t.SortRows();
-    want_norm.push_back(std::move(t));
-  }
+  // The expected row sets, built once (they are invariant across
+  // candidates; hoisted out of the per-combo verification).
+  std::vector<hdt::Table> want_sets;
+  want_sets.reserve(examples.size());
+  for (const Example& e : examples) want_sets.push_back(RowSet(*e.table));
 
   auto psi_of = [&](const std::vector<size_t>& idx) {
     std::vector<dsl::ColumnExtractor> psi;
@@ -352,7 +336,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
             combo.total_cost >= best_cost.col_constructs)) {
         std::vector<dsl::ColumnExtractor> psi = psi_of(combo.idx);
         auto [it, fresh] = instance_of.try_emplace(
-            InstanceKey(examples, psi, popts.universe.memo), instances.size());
+            InstanceKey(examples, psi, memo), instances.size());
         if (fresh) {
           to_learn.push_back(instances.size());
           instances.emplace_back().psi = std::move(psi);
@@ -375,7 +359,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
     Status wave_status = common::ParallelForStatus(
         tpool, to_learn.size(), [&](size_t i) -> Status {
       Instance& in = instances[to_learn[i]];
-      auto learned = LearnPredicate(examples, in.psi, popts);
+      auto learned = LearnPredicate(examples, in.psi, memo, popts);
       if (!learned.ok()) {
         in.failure = learned.status();
         return Status::OK();
@@ -385,7 +369,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       p.columns = in.psi;
       p.atoms = std::move(learned->atoms);
       p.formula = std::move(learned->formula);
-      if (!VerifyProgram(examples, want_norm, p, popts.eval, &in.excess,
+      if (!VerifyProgram(examples, want_sets, p, popts.eval, &in.excess,
                          &in.spread)) {
         return Status::OK();
       }
@@ -507,21 +491,33 @@ Result<SynthesisResult> LearnTransformation(const hdt::Hdt& tree,
   return LearnTransformation(examples, opts);
 }
 
-namespace {
-
-/// Does program `p` reproduce example `e` (as a row set)?
-bool SatisfiesExample(const dsl::Program& p, const Example& e,
-                      const dsl::EvalOptions& eval) {
-  auto got = dsl::EvalProgram(*e.tree, p, eval);
-  if (!got.ok()) return false;
-  hdt::Table a = std::move(got).value();
-  a.Dedup();
-  a.SortRows();
-  hdt::Table b = *e.table;
-  b.Dedup();
-  b.SortRows();
-  return a.rows() == b.rows();
+hdt::Table RowSet(const hdt::Table& table) {
+  hdt::Table set = table;
+  set.Dedup();
+  set.SortRows();
+  return set;
 }
+
+Result<std::vector<dsl::NodeTuple>> MatchRowSet(const hdt::Hdt& tree,
+                                                const dsl::Program& p,
+                                                const hdt::Table& want_set,
+                                                const dsl::EvalOptions& eval) {
+  MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
+                         dsl::EvalProgramNodeTuples(tree, p, eval));
+  hdt::Table got(p.columns.size());
+  for (const dsl::NodeTuple& t : tuples) {
+    MITRA_RETURN_IF_ERROR(got.AppendRow(dsl::ProjectData(tree, t)));
+  }
+  got.Dedup();
+  got.SortRows();
+  if (got.rows() != want_set.rows()) {
+    return Status::SynthesisFailure(
+        "program output differs from the example's rows");
+  }
+  return tuples;
+}
+
+namespace {
 
 /// Enumerates all size-`k` index subsets of [0, m), lexicographically.
 void ForEachSubset(size_t m, size_t k,
@@ -573,8 +569,9 @@ Result<BestEffortResult> LearnBestEffortTransformation(
       best.stats = std::move(result->stats);
       // The program may satisfy left-out examples too.
       for (size_t i = 0; i < m; ++i) {
-        if (SatisfiesExample(best.program, examples[i],
-                             opts.predicate.eval)) {
+        if (MatchRowSet(*examples[i].tree, best.program,
+                        RowSet(*examples[i].table), opts.predicate.eval)
+                .ok()) {
           best.satisfied.push_back(i);
         }
       }

@@ -12,6 +12,7 @@
 #include "core/example.h"
 #include "core/predicate_learner.h"
 #include "dsl/ast.h"
+#include "dsl/eval.h"
 
 /// \file synthesizer.h
 /// The top-level synthesis algorithm LearnTransformation (Algorithm 1):
@@ -55,18 +56,17 @@ struct SynthesisOptions {
   common::Governor* governor = nullptr;
   /// Worker threads for Phase 1 (the k independent per-column learners)
   /// and Phase 2 (wave-based evaluation of candidate table extractors).
-  /// 1 = the sequential path; 0 = hardware concurrency. Every value
-  /// synthesizes the *same* program: waves are popped in the sequential
-  /// frontier order and merged back in that order, so ranking, pruning,
-  /// and stopping decisions replay the single-threaded run exactly
-  /// (modulo the wall-clock time limit, which is inherently timing-
-  /// dependent).
+  /// 1 = no pool; 0 = hardware concurrency. Every value synthesizes the
+  /// *same* program: waves are popped in the sequential frontier order
+  /// and merged back in that order, so ranking, pruning, and stopping
+  /// decisions replay the single-threaded run exactly (modulo the
+  /// wall-clock time limit, which is inherently timing-dependent). Phase 1
+  /// learns every column at every value, past a failing one too, and
+  /// returns the first failing column's error in column order, so it does
+  /// the same work (and counts the same dfa/* and synth/phase1/* metrics)
+  /// at any thread count. At 1 thread a failing run's governor usage thus
+  /// includes the columns after the failing one, as it does at N.
   int num_threads = 1;
-  /// Cross-candidate memoization (extractor_memo.h): EvalColumn results,
-  /// enumerated node extractors, and target facts are cached across the
-  /// ψ candidates of one run. Purely a performance device — results are
-  /// identical; exposed only for A/B benchmarking.
-  bool memoize_extractors = true;
 };
 
 /// Per-synthesis statistics, reported by the evaluation harness.
@@ -75,7 +75,8 @@ struct SynthesisStats {
   size_t table_extractors_tried = 0;
   size_t table_extractors_consistent = 0;
   size_t max_universe_size = 0;
-  /// Cross-candidate memo cache traffic (0/0 when memoization is off).
+  /// Cross-candidate memo cache traffic (extractor_memo.h). The memo is
+  /// scoped to one LearnTransformation call and always on.
   size_t memo_hits = 0;
   size_t memo_misses = 0;
   double seconds = 0.0;
@@ -121,6 +122,23 @@ struct BestEffortResult {
 
 Result<BestEffortResult> LearnBestEffortTransformation(
     const Examples& examples, const SynthesisOptions& opts = {});
+
+/// `table`'s rows deduplicated and sorted: the row set MatchRowSet
+/// compares against.
+hdt::Table RowSet(const hdt::Table& table);
+
+/// The check behind every program acceptance (synthesis, best effort, a
+/// program-cache hit): evaluates `p` on `tree` and returns its node tuples
+/// when their data projection equals `want_set` as a row set (output
+/// tables are compared as sets, since the cross-product semantics can
+/// produce benign duplicates when distinct node tuples project to the same
+/// data row). `want_set` must be a RowSet. Fails with kSynthesisFailure
+/// when the row sets differ, and with the evaluator's error when
+/// evaluation fails.
+Result<std::vector<dsl::NodeTuple>> MatchRowSet(const hdt::Hdt& tree,
+                                                const dsl::Program& p,
+                                                const hdt::Table& want_set,
+                                                const dsl::EvalOptions& eval);
 
 }  // namespace mitra::core
 

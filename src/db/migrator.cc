@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 
+#include "common/json_escape.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/column_learner.h"
@@ -501,40 +502,6 @@ const TableReport* MigrationReport::Find(const std::string& table) const {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
@@ -575,12 +542,13 @@ std::string MigrationReport::ToJson() const {
   for (size_t i = 0; i < tables.size(); ++i) {
     const TableReport& t = tables[i];
     if (i > 0) out += ',';
-    out += "{\"table\":\"" + JsonEscape(t.table) + "\"";
+    out += "{\"table\":\"" + common::EscapeJsonString(t.table) + "\"";
     out += ",\"outcome\":\"";
     out += TableOutcomeName(t.outcome);
     out += "\",\"status_code\":\"";
     out += StatusCodeToString(t.status.code());
-    out += "\",\"status\":\"" + JsonEscape(t.status.message()) + "\"";
+    out += "\",\"status\":\"" + common::EscapeJsonString(t.status.message()) +
+           "\"";
     out += ",\"rung\":" + std::to_string(t.rung);
     out += ",\"cache_hit\":";
     out += t.cache_hit ? "true" : "false";
@@ -594,7 +562,7 @@ std::string MigrationReport::ToJson() const {
     out += ",\"retry_trail\":[";
     for (size_t r = 0; r < t.retry_trail.size(); ++r) {
       if (r > 0) out += ',';
-      out += "\"" + JsonEscape(t.retry_trail[r]) + "\"";
+      out += "\"" + common::EscapeJsonString(t.retry_trail[r]) + "\"";
     }
     out += "]}";
   }
@@ -605,7 +573,8 @@ std::string MigrationReport::ToJson() const {
     for (const auto& [name, value] : metrics) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + JsonEscape(name) + "\":" + std::to_string(value);
+      out += "\"" + common::EscapeJsonString(name) +
+             "\":" + std::to_string(value);
     }
     out += "}";
   }
@@ -621,10 +590,9 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
   std::optional<dsl::Program> program =
       opts.program_cache->Lookup(ProgramCacheKey(tree, example));
   if (!program.has_value()) return std::nullopt;
-  // Re-verify against the example under a bounded governor, mirroring the
-  // synthesizer's own consistency check (VerifyProgram): a poisoned or
-  // colliding entry must read as a miss, never emit wrong tables, and
-  // never run unbudgeted.
+  // Re-verify against the example under a bounded governor with the
+  // synthesizer's own row-set check: a poisoned or colliding entry must
+  // read as a miss, never emit wrong tables, and never run unbudgeted.
   common::ResourceLimits limits = opts.table_limits;
   if (!limits.has_deadline()) {
     limits.time_limit_seconds = opts.synthesis.time_limit_seconds;
@@ -640,28 +608,14 @@ std::optional<Migrator::LearnedTable> Migrator::LookupCachedProgram(
     }
     dsl::EvalOptions ev = opts.synthesis.predicate.eval;
     ev.governor = &gov;
-    MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                           dsl::EvalProgramNodeTuples(tree, *program, ev));
-    if (tuples.empty()) {
+    MITRA_ASSIGN_OR_RETURN(
+        learned.tuples,
+        core::MatchRowSet(tree, *program, core::RowSet(example), ev));
+    if (learned.tuples.empty()) {
       return Status::SynthesisFailure("cached program for table " + t.name +
                                       " yields no example rows");
     }
-    hdt::Table got(example.NumCols());
-    for (const dsl::NodeTuple& tuple : tuples) {
-      MITRA_RETURN_IF_ERROR(got.AppendRow(dsl::ProjectData(tree, tuple)));
-    }
-    got.Dedup();
-    got.SortRows();
-    hdt::Table want = example;
-    want.Dedup();
-    want.SortRows();
-    if (got.rows() != want.rows()) {
-      return Status::SynthesisFailure(
-          "cached program for table " + t.name +
-          " is inconsistent with the example");
-    }
     learned.program = std::move(*program);
-    learned.tuples = std::move(tuples);
     return Status::OK();
   }();
   if (!st.ok()) {

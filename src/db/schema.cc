@@ -3,7 +3,25 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/json_escape.h"
+
 namespace mitra::db {
+
+namespace {
+
+/// Table names become file names under an output directory (merged
+/// tables, shards), so each must be one plain path component: not empty,
+/// `.` or `..`, and free of `/`, NUL and other control bytes.
+bool IsPlainPathComponent(const std::string& name) {
+  if (name.empty() || name == "." || name == "..") return false;
+  for (char c : name) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (c == '/' || u < 0x20 || u == 0x7f) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 size_t TableDef::NumDataColumns() const {
   size_t n = 0;
@@ -32,6 +50,12 @@ const TableDef* DatabaseSchema::FindTable(const std::string& name) const {
 Status DatabaseSchema::Validate() const {
   std::set<std::string> names;
   for (const TableDef& t : tables) {
+    if (!IsPlainPathComponent(t.name)) {
+      return Status::InvalidArgument(
+          "table name \"" + common::EscapeJsonString(t.name) +
+          "\" is not one plain path component (no '/', '.', '..' or "
+          "control bytes)");
+    }
     if (!names.insert(t.name).second) {
       return Status::InvalidArgument("duplicate table name: " + t.name);
     }

@@ -48,9 +48,11 @@ struct DatabaseSchema {
 
   const TableDef* FindTable(const std::string& name) const;
 
-  /// Structural checks: unique table names, at most one primary key per
-  /// table, every foreign key references an existing table that has a
-  /// primary key.
+  /// Structural checks: every table name is one plain path component
+  /// (it names output files; the SQL generators, which call this too,
+  /// therefore reject such names as well), unique table names, at most
+  /// one primary key per table, every foreign key references an existing
+  /// table that has a primary key.
   Status Validate() const;
 
   size_t TotalColumns() const;

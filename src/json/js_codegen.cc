@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/json_escape.h"
 #include "common/strings.h"
-#include "json/json_parser.h"
 
 namespace mitra::json {
 
@@ -25,7 +25,7 @@ constexpr char kRuntimeMarker[] = "// --- mitra runtime ---";
 /// A single-quoted JS string literal: JSON escaping plus the quote.
 std::string JsStr(const std::string& s) {
   std::string out = "'";
-  for (char c : EscapeJsonString(s)) {
+  for (char c : common::EscapeJsonString(s)) {
     if (c == '\'') out += '\\';
     out += c;
   }

@@ -45,9 +45,6 @@ Result<hdt::Hdt> ParseJson(std::string_view input);
 Result<hdt::Hdt> ParseJson(std::string_view input,
                            const JsonParseOptions& opts);
 
-/// Escapes a string for embedding between double quotes in JSON output.
-std::string EscapeJsonString(std::string_view s);
-
 }  // namespace mitra::json
 
 #endif  // MITRA_JSON_JSON_PARSER_H_

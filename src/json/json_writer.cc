@@ -2,8 +2,8 @@
 
 #include <vector>
 
+#include "common/json_escape.h"
 #include "common/strings.h"
-#include "json/json_parser.h"
 
 namespace mitra::json {
 
@@ -63,7 +63,7 @@ struct Writer {
       out.append(data);
     } else {
       out.push_back('"');
-      out.append(EscapeJsonString(data));
+      common::AppendJsonEscaped(&out, data);
       out.push_back('"');
     }
   }
@@ -110,7 +110,7 @@ struct Writer {
     for (size_t gi = 0; gi < order.size(); ++gi) {
       Indent(depth + 1);
       out.push_back('"');
-      out.append(EscapeJsonString(t.TagName(order[gi])));
+      common::AppendJsonEscaped(&out, t.TagName(order[gi]));
       out.append("\": ");
       const auto& group = groups[gi];
       if (group.size() == 1) {

@@ -3,42 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_escape.h"
+
 namespace mitra::obs {
-namespace {
-
-/// Escapes a metric name for use as a JSON string. Names are ASCII slugs in
-/// practice, but the exporter must never emit invalid JSON for any input.
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 int Counter::ThisThreadShard() noexcept {
   static std::atomic<unsigned> next{0};
@@ -142,7 +109,7 @@ std::string MetricsJson(const MetricsSnapshot& snapshot, bool indent) {
     first = false;
     out += sep;
     out += '"';
-    AppendJsonEscaped(&out, name);
+    common::AppendJsonEscaped(&out, name);
     out += "\": ";
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%" PRIu64, value);

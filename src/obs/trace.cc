@@ -5,27 +5,13 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_escape.h"
+
 namespace mitra::obs {
 namespace {
 
 /// Per-thread span nesting depth (for the `depth` field of TraceEvent).
 thread_local std::uint32_t tls_span_depth = 0;
-
-void AppendEscaped(std::string* out, const char* s) {
-  for (; *s; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -102,7 +88,7 @@ std::string Tracer::ChromeTraceJson() const {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":\"";
-    AppendEscaped(&out, e.name);
+    common::AppendJsonEscaped(&out, e.name);
     out += "\",\"cat\":\"mitra\",\"ph\":\"X\",\"ts\":";
     // Microseconds with ns precision, relative to the tracer epoch.
     double ts_us =

@@ -10,6 +10,7 @@
 
 #include "common/csv.h"
 #include "common/fs.h"
+#include "common/json_escape.h"
 #include "common/retry.h"
 #include "common/strings.h"
 #include "common/subprocess.h"
@@ -188,13 +189,13 @@ std::string QuarantineReportPath(const std::string& qdir, size_t index) {
 /// One worker death as JSON — the `hard_fault` block of the quarantine
 /// report (schema documented in README).
 std::string HardFaultJson(const HardFaultInfo& f, size_t worker_deaths) {
-  std::string out = "{\"kind\":\"" + json::EscapeJsonString(f.kind) + "\"";
+  std::string out = "{\"kind\":\"" + common::EscapeJsonString(f.kind) + "\"";
   out += ",\"signal\":" + std::to_string(f.signal);
   if (f.signal != 0) {
     out += ",\"signal_name\":\"" + common::SignalName(f.signal) + "\"";
   }
   out += ",\"exit_code\":" + std::to_string(f.exit_code);
-  out += ",\"last_phase\":\"" + json::EscapeJsonString(f.last_phase) + "\"";
+  out += ",\"last_phase\":\"" + common::EscapeJsonString(f.last_phase) + "\"";
   out += ",\"seconds_since_heartbeat\":" +
          JsonDouble(f.seconds_since_heartbeat);
   out += ",\"max_rss_kb\":" + std::to_string(f.max_rss_kb);
@@ -212,14 +213,15 @@ std::string HardFaultJson(const HardFaultInfo& f, size_t worker_deaths) {
 /// diagnostics — so an operator can tell a poison document from a flaky
 /// environment without re-running the fleet.
 std::string QuarantineReportJson(const DocReport& dr) {
-  std::string out = "{\"path\":\"" + json::EscapeJsonString(dr.path) + "\"";
+  std::string out = "{\"path\":\"" + common::EscapeJsonString(dr.path) + "\"";
   out += ",\"index\":" + std::to_string(dr.index);
-  out += ",\"status\":\"" + json::EscapeJsonString(dr.status.ToString()) + "\"";
+  out += ",\"status\":\"" + common::EscapeJsonString(dr.status.ToString()) +
+         "\"";
   out += ",\"attempts\":" + std::to_string(dr.attempts);
   out += ",\"retry_trail\":[";
   for (size_t i = 0; i < dr.retry_trail.size(); ++i) {
     if (i > 0) out += ',';
-    out += "\"" + json::EscapeJsonString(dr.retry_trail[i]) + "\"";
+    out += "\"" + common::EscapeJsonString(dr.retry_trail[i]) + "\"";
   }
   out += "]";
   if (!dr.hard_faults.empty()) {
@@ -357,25 +359,25 @@ bool BatchReport::complete() const {
 std::string BatchReport::ToJson() const {
   std::string out = "{\"complete\":";
   out += complete() ? "true" : "false";
-  out += ",\"batch_key\":\"" + json::EscapeJsonString(batch_key) + "\"";
+  out += ",\"batch_key\":\"" + common::EscapeJsonString(batch_key) + "\"";
   out += ",\"docs_done\":" + std::to_string(docs_done());
   out += ",\"docs_resumed\":" + std::to_string(docs_resumed());
   out += ",\"docs_failed\":" + std::to_string(docs_failed());
   out += ",\"docs_quarantined\":" + std::to_string(docs_quarantined());
   if (!journal_status.ok()) {
     out += ",\"journal_write_failed\":\"" +
-           json::EscapeJsonString(journal_status.ToString()) + "\"";
+           common::EscapeJsonString(journal_status.ToString()) + "\"";
   }
   out += ",\"learn\":" + learn.ToJson();
   out += ",\"docs\":[";
   for (size_t i = 0; i < docs.size(); ++i) {
     const DocReport& d = docs[i];
     if (i > 0) out += ',';
-    out += "{\"path\":\"" + json::EscapeJsonString(d.path) + "\"";
+    out += "{\"path\":\"" + common::EscapeJsonString(d.path) + "\"";
     out += ",\"index\":" + std::to_string(d.index);
     out += ",\"outcome\":\"";
     out += DocOutcomeName(d.outcome);
-    out += "\",\"status\":\"" + json::EscapeJsonString(d.status.message()) +
+    out += "\",\"status\":\"" + common::EscapeJsonString(d.status.message()) +
            "\"";
     out += ",\"seconds\":" + JsonDouble(d.seconds);
     out += ",\"rows_emitted\":" + std::to_string(d.rows_emitted);
@@ -391,7 +393,7 @@ std::string BatchReport::ToJson() const {
       out += ",\"retry_trail\":[";
       for (size_t t = 0; t < d.retry_trail.size(); ++t) {
         if (t > 0) out += ',';
-        out += "\"" + json::EscapeJsonString(d.retry_trail[t]) + "\"";
+        out += "\"" + common::EscapeJsonString(d.retry_trail[t]) + "\"";
       }
       out += "]";
     }
@@ -404,7 +406,7 @@ std::string BatchReport::ToJson() const {
     for (const auto& [name, value] : metrics) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + json::EscapeJsonString(name) +
+      out += "\"" + common::EscapeJsonString(name) +
              "\":" + std::to_string(value);
     }
     out += "}";

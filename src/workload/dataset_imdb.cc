@@ -1,6 +1,6 @@
 #include "workload/datasets.h"
 
-#include "json/json_parser.h"
+#include "common/json_escape.h"
 
 /// Synthetic IMDB (JSON): 9 tables, 35 columns — matching the paper's
 /// Table 2 row for IMDB. One JSON document holding an array of movie
@@ -107,7 +107,7 @@ Model BuildModel(int scale, uint32_t seed) {
 std::string Render(const Model& m) {
   std::string out = "{\"movies\": [\n";
   auto str = [](const std::string& s) {
-    return "\"" + json::EscapeJsonString(s) + "\"";
+    return "\"" + common::EscapeJsonString(s) + "\"";
   };
   for (size_t i = 0; i < m.movies.size(); ++i) {
     const Movie& mv = m.movies[i];

@@ -1,6 +1,6 @@
 #include "workload/datasets.h"
 
-#include "json/json_parser.h"
+#include "common/json_escape.h"
 
 /// Synthetic YELP (JSON): 7 tables, 34 columns — matching the paper's
 /// Table 2 row. One document with an array of business objects carrying
@@ -107,7 +107,7 @@ Model BuildModel(int scale, uint32_t seed) {
 
 std::string Render(const Model& m) {
   auto str = [](const std::string& s) {
-    return "\"" + json::EscapeJsonString(s) + "\"";
+    return "\"" + common::EscapeJsonString(s) + "\"";
   };
   std::string out = "{\"businesses\": [\n";
   for (size_t i = 0; i < m.businesses.size(); ++i) {

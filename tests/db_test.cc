@@ -82,6 +82,52 @@ TEST(Schema, RejectsFkToTableWithoutPk) {
   EXPECT_FALSE(schema.Validate().ok());
 }
 
+/// A one-table schema whose table is named `name`.
+DatabaseSchema SchemaNamed(const std::string& name) {
+  DatabaseSchema schema;
+  schema.tables.push_back(TableDef{name, {{"x", ColumnKind::kData, ""}}});
+  return schema;
+}
+
+void ExpectNameRejected(const std::string& name) {
+  Status st = SchemaNamed(name).Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+      << "name of " << name.size() << " bytes: " << st.ToString();
+}
+
+// Table names become file names under an output directory (merged CSVs,
+// shards), so each must be one plain path component.
+TEST(Schema, RejectsEmptyTableName) { ExpectNameRejected(""); }
+
+TEST(Schema, RejectsDotTableNames) {
+  ExpectNameRejected(".");
+  ExpectNameRejected("..");
+}
+
+TEST(Schema, RejectsTableNamesWithSlashes) {
+  ExpectNameRejected("a/b");
+  ExpectNameRejected("../x");
+  ExpectNameRejected("../../escaped");
+  ExpectNameRejected("/abs");
+  ExpectNameRejected("dir/");
+}
+
+TEST(Schema, RejectsTableNamesWithControlBytes) {
+  ExpectNameRejected(std::string("a\0b", 3));
+  ExpectNameRejected(std::string(1, '\0'));
+  ExpectNameRejected("a\nb");
+  ExpectNameRejected("tab\t");
+  ExpectNameRejected("\x1f");
+  ExpectNameRejected("del\x7f");
+}
+
+TEST(Schema, AcceptsPlainTableNames) {
+  for (const char* name : {"people", "a.b", "..a", "a..", "my table",
+                           "caf\xc3\xa9", "C:x"}) {
+    EXPECT_TRUE(SchemaNamed(name).Validate().ok()) << name;
+  }
+}
+
 TEST(KeyGen, InjectiveOverNodeTuples) {
   EXPECT_NE(KeyOf(0, {1, 2}), KeyOf(0, {12}));
   EXPECT_NE(KeyOf(0, {1, 2}), KeyOf(0, {1, 3}));

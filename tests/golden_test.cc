@@ -1,7 +1,8 @@
 // Golden-output tests: byte-exact snapshots under tests/golden/ of the SQL
 // and XSLT code generators, of every synthesized corpus and Table 2
-// program, of the Table 2 program-cache keys and of the parsers' error
-// messages. Any intentional output change is refreshed with
+// program, of the predicate universes behind them, of the Table 2
+// program-cache keys and of the parsers' error messages. Any intentional
+// output change is refreshed with
 //
 //   UPDATE_GOLDEN=1 ctest -R Golden
 //
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -18,6 +20,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
+#include "core/column_learner.h"
+#include "core/extractor_memo.h"
+#include "core/predicate_universe.h"
 #include "core/synthesizer.h"
 #include "db/migrator.h"
 #include "db/sql_codegen.h"
@@ -191,6 +197,65 @@ TEST(Golden, SynthesizedPrograms) {
     }
   }
   CompareOrUpdateGolden("programs.txt", out);
+}
+
+// The predicate universe Φ (Fig. 10 rules 4-5) of the cheapest table
+// extractor ψ — every column's first Phase-1 candidate — built through the
+// extractor memo as synthesis builds it: the intermediate row count, the
+// atom count and a digest over each printed atom and its truth bits.
+std::string DescribeUniverse(const hdt::Hdt& tree, const hdt::Table& table) {
+  const core::Examples examples{core::Example{&tree, &table}};
+  std::vector<dsl::ColumnExtractor> psi;
+  for (size_t j = 0; j < table.NumCols(); ++j) {
+    core::ColSymbolPool pool;
+    auto cands =
+        core::LearnColumnExtractors(examples, static_cast<int>(j), &pool);
+    if (!cands.ok()) {
+      return "phase1 failed: " +
+             std::string(StatusCodeToString(cands.status().code()));
+    }
+    psi.push_back(cands->front());
+  }
+  auto rows = dsl::EvalCrossProduct(tree, psi);
+  if (!rows.ok()) {
+    return "cross product failed: " +
+           std::string(StatusCodeToString(rows.status().code()));
+  }
+  core::ExtractorMemoCache memo;
+  auto universe =
+      core::ConstructPredicateUniverse(examples, psi, {*rows}, memo);
+  if (!universe.ok()) {
+    return "universe failed: " +
+           std::string(StatusCodeToString(universe.status().code()));
+  }
+  uint64_t digest = Fnv1a64(nullptr, 0);
+  for (size_t a = 0; a < universe->atoms.size(); ++a) {
+    const std::string atom = dsl::ToString(universe->atoms[a]);
+    digest = HashCombine(Fnv1a64(atom.data(), atom.size(), digest),
+                         universe->truth[a].Hash());
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return "rows=" + std::to_string(universe->num_rows) +
+         " atoms=" + std::to_string(universe->atoms.size()) + " digest=" + hex;
+}
+
+TEST(Golden, PredicateUniverses) {
+  std::string out;
+  for (const workload::CorpusTask& task : workload::FullCorpus()) {
+    hdt::Hdt tree = ParseDoc(task.format, task.document);
+    out += "corpus " + task.id + "\t" +
+           DescribeUniverse(tree, test::MakeTable(task.output)) + "\n";
+  }
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    hdt::Hdt example = ParseDoc(spec->format, spec->example_document);
+    for (const auto& [name, rows] : spec->example_tables) {
+      out += "table2 " + spec->name + "." + name + "\t" +
+             DescribeUniverse(example, test::MakeTable(rows)) + "\n";
+    }
+  }
+  CompareOrUpdateGolden("universes.txt", out);
 }
 
 // The program-cache key of every Table 2 example table. Equal keys mean

@@ -14,6 +14,8 @@
 ///    threads=8 (the parallel merge loop replays the sequential order),
 ///    and there instances_distinct + instances_shared == table extractors
 ///    tried (every tried ψ takes exactly one predicate-learning instance);
+///  - on the deliberately unsolvable tasks too, with the same error at
+///    both thread counts (Phase 1 learns every column at any count);
 ///  - an instrumented run populates >= 12 distinct counters across >= 5
 ///    layers and emits spans (the ISSUE 7 acceptance criterion).
 
@@ -188,6 +190,35 @@ TEST(MetricsInvariant, DeterministicCountersIdenticalAcrossThreadCounts) {
           << "one predicate-learning instance";
     }
   }
+}
+
+TEST(MetricsInvariant, UnsolvableTasksDoTheSameWorkAcrossThreadCounts) {
+  // Phase 1 learns every column at every thread count, so a task whose
+  // column fails still builds the same DFAs at threads=1 and threads=8. A
+  // failed run returns no stats: the deltas come from the registry.
+  size_t unsolvable = 0;
+  for (const workload::CorpusTask& task : workload::FullCorpus()) {
+    if (task.expect_solvable) continue;
+    ++unsolvable;
+    hdt::Hdt tree = ParseTaskDoc(task);
+    hdt::Table table = test::MakeTable(task.output);
+    Status status[2];
+    MetricsSnapshot counters[2];
+    for (int run = 0; run < 2; ++run) {
+      MetricsSnapshot before = obs::SnapshotMetrics();
+      status[run] =
+          core::LearnTransformation(tree, table, Options(run == 0 ? 1 : 8))
+              .status();
+      counters[run] = DeterministicSubset(obs::SnapshotDelta(before));
+    }
+    EXPECT_FALSE(status[0].ok()) << task.id;
+    EXPECT_EQ(status[0].ToString(), status[1].ToString()) << task.id;
+    EXPECT_GT(At(counters[0], "dfa/construct/states"), 0u) << task.id;
+    EXPECT_EQ(counters[0], counters[1])
+        << task.id << ": deterministic counters diverged between threads=1 "
+        << "and threads=8 on a failing task";
+  }
+  EXPECT_EQ(unsolvable, 6u);
 }
 
 TEST(MetricsInvariant, InstrumentedRunCoversTwelveCountersAcrossFiveLayers) {

@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "db/migrator.h"
 #include "db/schema.h"
+#include "json/json_parser.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
 
@@ -201,6 +202,27 @@ TEST(MigrationReport, ToJsonCarriesTheReport) {
   EXPECT_NE(json.find("\"status_code\":\"OK\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"rows_emitted\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"usage\""), std::string::npos) << json;
+}
+
+TEST(MigrationReport, ToJsonKeepsEveryControlByteOfAStatus) {
+  std::string message;
+  for (int c = 0; c < 0x20; ++c) message.push_back(static_cast<char>(c));
+  message += "\"quoted\" back\\slash";
+  MigrationReport report;
+  TableReport table;
+  table.table = "t";
+  table.outcome = TableOutcome::kFailed;
+  table.status = Status::SynthesisFailure(message);
+  report.tables.push_back(table);
+
+  const std::string json = report.ToJson();
+  auto tree = json::ParseJson(json);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString() << "\n" << json;
+  auto tag = tree->LookupTag("status");
+  ASSERT_TRUE(tag.has_value()) << json;
+  auto nodes = tree->DescendantsWithTag(tree->root(), *tag);
+  ASSERT_EQ(nodes.size(), 1u) << json;
+  EXPECT_EQ(tree->Data(nodes[0]), message) << json;
 }
 
 TEST(MigrationReport, OutcomeNames) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/example.h"
 #include "core/node_extractor_enum.h"
 #include "dsl/eval.h"
 #include "test_util.h"
@@ -20,6 +21,20 @@ const char* kDoc = R"(
 dsl::ColumnExtractor NCol() {
   return dsl::ColumnExtractor{{{dsl::ColOp::kChildren, "p", 0},
                                {dsl::ColOp::kPChildren, "n", 0}}};
+}
+
+// χᵢ for column `pi`: the extractors valid on the nodes πᵢ produces on each
+// example tree.
+Result<std::vector<EnumeratedExtractor>> EnumerateNodeExtractors(
+    const Examples& examples, const dsl::ColumnExtractor& pi,
+    const NodeExtractorEnumOptions& opts = {}) {
+  std::vector<const hdt::Hdt*> trees;
+  std::vector<std::vector<hdt::NodeId>> sources;
+  for (const Example& e : examples) {
+    trees.push_back(e.tree);
+    sources.push_back(dsl::EvalColumn(*e.tree, pi));
+  }
+  return EnumerateNodeExtractorsFromSources(trees, sources, opts);
 }
 
 TEST(NodeExtractorEnum, IdentityAlwaysPresent) {

@@ -107,7 +107,7 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 
 /// Learns every solvable corpus task at the given thread count and
 /// returns the programs keyed by task order.
-std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
+std::vector<std::string> SynthesizeCorpus(int threads) {
   std::vector<std::string> programs;
   for (const workload::CorpusTask& task : workload::FullCorpus()) {
     if (!task.expect_solvable) continue;
@@ -119,7 +119,6 @@ std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
     if (!table.ok()) continue;
     core::SynthesisOptions opts;
     opts.num_threads = threads;
-    opts.memoize_extractors = memoize;
     auto r = core::LearnTransformation(*tree, *table, opts);
     programs.push_back(task.id + "\t" +
                        (r.ok() ? dsl::ToString(r->program)
@@ -129,23 +128,14 @@ std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
 }
 
 TEST(ParallelSynthesis, CorpusProgramsIdenticalAcrossThreadCounts) {
-  std::vector<std::string> base = SynthesizeCorpus(1, /*memoize=*/true);
+  std::vector<std::string> base = SynthesizeCorpus(1);
   ASSERT_FALSE(base.empty());
   for (int threads : {4, 8}) {
-    std::vector<std::string> got = SynthesizeCorpus(threads, true);
+    std::vector<std::string> got = SynthesizeCorpus(threads);
     ASSERT_EQ(got.size(), base.size());
     for (size_t i = 0; i < base.size(); ++i) {
       EXPECT_EQ(got[i], base[i]) << "threads=" << threads;
     }
-  }
-}
-
-TEST(ParallelSynthesis, MemoizationDoesNotChangePrograms) {
-  std::vector<std::string> with = SynthesizeCorpus(1, /*memoize=*/true);
-  std::vector<std::string> without = SynthesizeCorpus(1, /*memoize=*/false);
-  ASSERT_EQ(with.size(), without.size());
-  for (size_t i = 0; i < with.size(); ++i) {
-    EXPECT_EQ(with[i], without[i]);
   }
 }
 
@@ -160,13 +150,6 @@ TEST(ParallelSynthesis, ReportsMemoTraffic) {
   auto result = core::LearnTransformation(t, r);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->stats.memo_misses, 0u);
-
-  core::SynthesisOptions off;
-  off.memoize_extractors = false;
-  auto result_off = core::LearnTransformation(t, r, off);
-  ASSERT_TRUE(result_off.ok());
-  EXPECT_EQ(result_off->stats.memo_hits, 0u);
-  EXPECT_EQ(result_off->stats.memo_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------

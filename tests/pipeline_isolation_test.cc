@@ -480,6 +480,25 @@ TEST(WorkerCodec, FramesRoundTrip) {
   EXPECT_EQ(pipeline::EncodeWorkerInit(*i), payload);
 }
 
+TEST(WorkerCodec, InitWithUnsafeTableNameIsRejected) {
+  // A table name is joined into the worker's shard paths, so a decoded
+  // schema must hold plain path components only.
+  pipeline::WorkerInit init;
+  init.outdir = "/out";
+  init.migration.schema.tables.push_back(
+      db::TableDef{"../x", {{"name", db::ColumnKind::kData, ""}}});
+  auto program = dsl::ParseProgram(
+      "λτ. filter((λs.pchildren(children(s, person), name, 0)){root(τ)}, "
+      "λt. true)");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  init.migration.programs["../x"] = *program;
+  auto decoded =
+      pipeline::DecodeWorkerInit(pipeline::EncodeWorkerInit(init));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().ToString();
+}
+
 TEST(WorkerCodec, EveryStrictPrefixIsRejected) {
   const std::string assign =
       pipeline::EncodeWorkerAssign(pipeline::WorkerAssign{3, "d3.xml"});

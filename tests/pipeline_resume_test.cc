@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "pipeline/batch.h"
 #include "pipeline/program_cache.h"
+#include "testing/crash_point.h"
 #include "testing/fault_injection.h"
 
 /// pipeline_resume_test (ISSUE 8): crash a batch mid-run with injected
@@ -155,6 +156,24 @@ TEST(PipelineResume, CrashMidBatchThenResumeNoDupesNoGaps) {
   EXPECT_EQ(*healed, *want);
 
   common::SetFileSystemForTest(nullptr);
+}
+
+TEST(PipelineBatch, UnsafeTableNameIsRejectedBeforeAnyWrite) {
+  common::MemoryFileSystem mem;
+  BatchManifest manifest = InstallFleet(&mem, 2);
+  manifest.tables[0].first = "../../escaped";
+  test::CrashPointFileSystem counter(&mem, 0);  // counts, never crashes
+  common::SetFileSystemForTest(&counter);
+  BatchOptions opts;
+  opts.outdir = "/out/run";
+  opts.journal = "/out/run/batch.journal";
+  auto run = RunBatch(manifest, opts);
+  common::SetFileSystemForTest(nullptr);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+      << run.status().ToString();
+  EXPECT_EQ(counter.mutations(), 0u);
+  EXPECT_FALSE(mem.Exists("/out/run/../../escaped.csv"));
 }
 
 TEST(PipelineResume, StaleJournalIsIgnored) {

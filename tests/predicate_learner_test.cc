@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/column_learner.h"
+#include "core/extractor_memo.h"
 #include "core/predicate_learner.h"
 #include "dsl/eval.h"
 #include "test_util.h"
@@ -34,11 +35,19 @@ dsl::ColumnExtractor Ages() {
                                {dsl::ColOp::kPChildren, "age", 0}}};
 }
 
+/// LearnPredicate with a memo of its own, as one synthesis run has.
+Result<LearnedPredicate> Learn(const Examples& ex,
+                               const std::vector<dsl::ColumnExtractor>& psi,
+                               const PredicateLearnOptions& opts = {}) {
+  ExtractorMemoCache memo;
+  return LearnPredicate(ex, psi, memo, opts);
+}
+
 TEST(LearnPredicate, TrueWhenNothingSpurious) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   hdt::Table r = MakeTable({{"A"}, {"B"}, {"C"}});
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names()});
+  auto learned = Learn(ex, {Names()});
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   EXPECT_TRUE(learned->formula.IsTrue());
   EXPECT_TRUE(learned->atoms.empty());
@@ -49,7 +58,7 @@ TEST(LearnPredicate, SingleConstAtomFilter) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   hdt::Table r = MakeTable({{"A"}, {"C"}});
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names()});
+  auto learned = Learn(ex, {Names()});
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   EXPECT_EQ(learned->atoms.size(), 1u);
 
@@ -65,7 +74,7 @@ TEST(LearnPredicate, JoinAtomAcrossColumns) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   hdt::Table r = MakeTable({{"A", "10"}, {"B", "30"}, {"C", "20"}});
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names(), Ages()});
+  auto learned = Learn(ex, {Names(), Ages()});
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   EXPECT_EQ(learned->atoms.size(), 1u);
   EXPECT_FALSE(learned->atoms[0].rhs_is_const);
@@ -83,7 +92,7 @@ TEST(LearnPredicate, FailsWhenColumnNotCovered) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   hdt::Table r = MakeTable({{"A"}, {"ZZZ"}});
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names()});
+  auto learned = Learn(ex, {Names()});
   ASSERT_FALSE(learned.ok());
   EXPECT_EQ(learned.status().code(), StatusCode::kSynthesisFailure);
 }
@@ -104,7 +113,7 @@ TEST(LearnPredicate, FailsWhenIndistinguishable) {
   // check the solvable variant and then an unsolvable one.
   hdt::Table ok_r = MakeTable({{"A"}});
   Examples ex{{&t, &ok_r}};
-  auto learned = LearnPredicate(ex, {Names()});
+  auto learned = Learn(ex, {Names()});
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
 
   dsl::Program p;
@@ -118,7 +127,7 @@ TEST(LearnPredicate, EmptyOutputGivesFalse) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   hdt::Table r(1);  // no rows, one column
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names()});
+  auto learned = Learn(ex, {Names()});
   ASSERT_TRUE(learned.ok());
   EXPECT_TRUE(learned->formula.clauses.empty());  // constant false
 }
@@ -141,7 +150,7 @@ TEST(LearnPredicate, MultiWitnessPrefersSmallConjunction) {
                            {dsl::ColOp::kPChildren, "link", 0},
                            {dsl::ColOp::kPChildren, "w", 0}}};
   Examples ex{{&t, &r}};
-  auto learned = LearnPredicate(ex, {Names(), ws});
+  auto learned = Learn(ex, {Names(), ws});
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   EXPECT_LE(learned->atoms.size(), 2u);
 
@@ -158,7 +167,7 @@ TEST(LearnPredicate, GreedyCoverModeStillConsistent) {
   Examples ex{{&t, &r}};
   PredicateLearnOptions opts;
   opts.exact_cover = false;
-  auto learned = LearnPredicate(ex, {Names(), Ages()}, opts);
+  auto learned = Learn(ex, {Names(), Ages()}, opts);
   ASSERT_TRUE(learned.ok());
   dsl::Program p;
   p.columns = {Names(), Ages()};
@@ -194,8 +203,8 @@ void ExpectSameLearnedPredicate(const Result<LearnedPredicate>& a,
 /// to every ψ with that key. Sound only if LearnPredicate reads ψ through
 /// those lists alone. Per column, takes the first two candidates that
 /// evaluate alike (or the first candidate twice when none do); the two ψ
-/// so built must learn the same predicate without the memo. Returns
-/// whether the task had such a pair.
+/// so built must learn the same predicate, each through a memo of its
+/// own. Returns whether the task had such a pair.
 bool CheckEqualNodeListPair(const std::string& id, const hdt::Hdt& tree,
                             const hdt::Table& table) {
   Examples ex{{&tree, &table}};
@@ -218,7 +227,7 @@ bool CheckEqualNodeListPair(const std::string& id, const hdt::Hdt& tree,
     }
   }
   if (a == b) return false;
-  ExpectSameLearnedPredicate(LearnPredicate(ex, a), LearnPredicate(ex, b), id);
+  ExpectSameLearnedPredicate(Learn(ex, a), Learn(ex, b), id);
   return true;
 }
 
