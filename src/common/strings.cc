@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -95,6 +96,27 @@ uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+void KeyHasher::Bytes(std::string_view s) {
+  Int(s.size());
+  h1_ = Fnv1a64(s.data(), s.size(), h1_);
+  h2_ = Fnv1a64(s.data(), s.size(), h2_);
+}
+
+void KeyHasher::Int(uint64_t v) {
+  char buf[8];
+  std::memcpy(buf, &v, sizeof(buf));
+  h1_ = Fnv1a64(buf, sizeof(buf), h1_);
+  h2_ = Fnv1a64(buf, sizeof(buf), h2_);
+}
+
+std::string KeyHasher::Hex() const {
+  char buf[33];
+  std::snprintf(buf, sizeof(buf), "%016llx%016llx",
+                static_cast<unsigned long long>(h1_),
+                static_cast<unsigned long long>(h2_));
+  return buf;
 }
 
 uint32_t Crc32(const void* data, size_t n, uint32_t crc) {

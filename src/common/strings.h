@@ -41,6 +41,24 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// 64-bit FNV-1a hash, used for hashing node-set signatures.
 uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed = 1469598103934665603ULL);
 
+/// A 128-bit key over length-framed fields: every field goes through two
+/// 64-bit FNV-1a states, each from its own seed, and Hex() concatenates
+/// the two digests. Each kind of key has its own seed pair.
+class KeyHasher {
+ public:
+  KeyHasher(uint64_t seed1, uint64_t seed2) : h1_(seed1), h2_(seed2) {}
+  /// Hashes the length (as Int), then the bytes.
+  void Bytes(std::string_view s);
+  /// Hashes the 8 bytes of `v` in memory order.
+  void Int(uint64_t v);
+  /// 32 lowercase hex digits: h1 then h2.
+  std::string Hex() const;
+
+ private:
+  uint64_t h1_;
+  uint64_t h2_;
+};
+
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum -o 3` variant). Used by
 /// the batch journal to detect torn-but-parseable shard files. Chainable:
 /// pass the previous return value as `crc` to extend over more data.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -89,36 +91,19 @@ class JoinIndex {
 
 }  // namespace
 
-const std::vector<hdt::NodeId>* ColumnCache::Lookup(
-    const dsl::ColumnExtractor& pi) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(dsl::ToString(pi));
-  if (it == cache_.end()) {
+std::shared_ptr<const std::vector<hdt::NodeId>> ColumnCache::Column(
+    const dsl::ColumnExtractor& pi) {
+  common::Flight flight;
+  std::shared_ptr<const std::vector<hdt::NodeId>> nodes = columns_.Get(
+      dsl::ToString(pi), [&] { return dsl::EvalColumn(*tree_, pi); },
+      &flight);
+  if (flight == common::Flight::kOwned) {
     MITRA_COUNT("exec/column_cache/misses", 1);
-    return nullptr;
+  } else {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    MITRA_COUNT("exec/column_cache/hits", 1);
   }
-  ++hits_;
-  MITRA_COUNT("exec/column_cache/hits", 1);
-  return &it->second;
-}
-
-const std::vector<hdt::NodeId>* ColumnCache::Insert(
-    const dsl::ColumnExtractor& pi, std::vector<hdt::NodeId> nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // First-wins: never overwrite, so pointers handed out earlier (possibly
-  // held by a concurrent executor) stay valid and bound to the same value.
-  auto [it, inserted] = cache_.try_emplace(dsl::ToString(pi), std::move(nodes));
-  return &it->second;
-}
-
-size_t ColumnCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-size_t ColumnCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
+  return nodes;
 }
 
 OptimizedExecutor::OptimizedExecutor(const dsl::Program& program)
@@ -216,6 +201,10 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
         "program has " + std::to_string(k) + " columns (limit " +
         std::to_string(dsl::kMaxEvalColumns) + ")");
   }
+  if (opts.column_cache != nullptr && &opts.column_cache->tree() != &tree) {
+    return Status::InvalidArgument(
+        "column cache was built for another tree");
+  }
   MITRA_GOV_CHECK(opts.governor, "exec/start");
   // Every atom's node extractors, bound to this tree's tag ids once per
   // call; the pool threads below only read them.
@@ -224,21 +213,18 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
   // Memoized column evaluation: identical extractors share one result —
   // within this program through a call-local cache, and across programs
   // when the caller supplies one (the paper's §9 cross-table memoization).
-  ColumnCache local_cache;
-  ColumnCache& cache =
-      opts.column_cache != nullptr ? *opts.column_cache : local_cache;
-  std::vector<const std::vector<hdt::NodeId>*> columns(k);
+  std::optional<ColumnCache> local_cache;
+  ColumnCache& cache = opts.column_cache != nullptr
+                           ? *opts.column_cache
+                           : local_cache.emplace(tree);
+  std::vector<std::shared_ptr<const std::vector<hdt::NodeId>>> columns(k);
   for (size_t i = 0; i < k; ++i) {
-    columns[i] = cache.Lookup(program_.columns[i]);
-    if (columns[i] == nullptr) {
-      columns[i] = cache.Insert(program_.columns[i],
-                                dsl::EvalColumn(tree, program_.columns[i]));
-    }
+    columns[i] = cache.Column(program_.columns[i]);
   }
 
   std::vector<dsl::NodeTuple> out;
-  std::set<dsl::NodeTuple> seen;  // dedup across DNF clauses
-  const bool multi_clause = clauses_.size() > 1;
+  // The tuples of earlier clauses, which a later clause drops.
+  std::set<dsl::NodeTuple> seen;
 
   // A program with constant-true formula (no clauses with literals but one
   // empty clause) or constant-false (no clauses).
@@ -276,7 +262,15 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     return lit.negated ? !v : v;
   };
 
-  for (const ClausePlan& plan : clauses_) {
+  // One chunk per clause unless the pool can run chunks concurrently.
+  const size_t max_chunks =
+      opts.pool == nullptr || opts.pool->size() <= 1
+          ? 1
+          : static_cast<size_t>(opts.pool->size()) * 4;
+  common::CancelToken* token =
+      opts.governor != nullptr ? opts.governor->token() : nullptr;
+  for (size_t clause = 0; clause < clauses_.size(); ++clause) {
+    const ClausePlan& plan = clauses_[clause];
     // Per-clause filtered candidate lists (unary literals applied once),
     // indexed by *column*. A unary literal reads only its own column of
     // the one probe tuple.
@@ -324,8 +318,7 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     // Nested-loop enumeration with early checks. `enumerate_range` runs
     // the loop nest with the outermost level restricted to candidates
     // [first, last); `emit` receives each surviving tuple and returns
-    // false to stop the enumeration. Returns true when the range was
-    // enumerated to completion. Reads only immutable clause state, so
+    // false to stop the enumeration. Reads only immutable clause state, so
     // disjoint ranges are safe to enumerate concurrently.
     auto enumerate_range =
         [&](size_t first, size_t last,
@@ -394,111 +387,64 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
       rec(0);
       MITRA_COUNT("exec/rows/scanned", scanned);
       (void)scanned;  // the no-op build compiles the flush away
-      return !stopped;
     };
 
-    // Exact sequential semantics: dedup across clauses, overflow when one
-    // clause emits more than max_output_rows (post-dedup) rows.
-    auto run_sequential = [&]() {
-      uint64_t emitted = 0;
-      Status overflow = Status::OK();
-      Status gov_status = Status::OK();
-      enumerate_range(
-          0, filtered[static_cast<size_t>(plan.levels[0].column)].size(),
-          [&](const dsl::NodeTuple& t) {
-            if (multi_clause && !seen.insert(t).second) return true;
-            // Charge emitted rows in batches of 256 (deterministic: the
-            // charge depends only on the emit count, not on scheduling).
-            if (opts.governor != nullptr && (emitted & 0xFF) == 0) {
-              Status s = opts.governor->ChargeRows(256, "exec/emit");
-              if (!s.ok()) {
-                overflow = std::move(s);
-                return false;
-              }
-            }
-            out.push_back(t);
-            if (++emitted > opts.max_output_rows) {
-              overflow =
-                  Status::ResourceExhausted("output exceeds max_output_rows");
-              return false;
-            }
-            return true;
-          },
-          &gov_status);
-      MITRA_COUNT("exec/rows/emitted", emitted);
-      if (!gov_status.ok()) return gov_status;
-      return overflow;
-    };
-
+    // The outermost level is split into contiguous candidate ranges
+    // (chunks) enumerated on the pool; within a chunk the enumeration
+    // order is the loop nest's, so concatenating the chunks in range
+    // order gives the same tuple sequence at every pool size. A chunk
+    // drops tuples an earlier clause emitted (nothing writes `seen` while
+    // a clause enumerates). A clause never emits one tuple twice, since
+    // each level binds its own column from a duplicate-free candidate
+    // list, so a chunk's count is post-dedup, and a chunk that stops at
+    // max_output_rows + 1 tuples proves overflow.
     const size_t n0 =
         filtered[static_cast<size_t>(plan.levels[0].column)].size();
-    common::ThreadPool* pool = opts.pool;
-    if (pool == nullptr || pool->size() <= 1 || n0 < 2) {
-      MITRA_RETURN_IF_ERROR(run_sequential());
-      continue;
-    }
-
-    // Parallel path: chunk the outermost level into contiguous candidate
-    // ranges; within a chunk the enumeration order is the sequential
-    // order, so concatenating chunk outputs in range order reproduces the
-    // sequential tuple sequence exactly (dedup and the overflow cap are
-    // applied during the ordered merge below, replaying the sequential
-    // decisions). Each chunk stops at max_output_rows + 1 tuples — enough
-    // to prove overflow without unbounded memory.
-    const size_t num_chunks =
-        std::min(n0, static_cast<size_t>(pool->size()) * 4);
-    const uint64_t chunk_cap = opts.max_output_rows + 1;
+    const size_t num_chunks = std::min(n0, max_chunks);
     std::vector<std::vector<dsl::NodeTuple>> chunk_out(num_chunks);
-    std::vector<char> complete(num_chunks, 1);
-    common::CancelToken* token =
-        opts.governor != nullptr ? opts.governor->token() : nullptr;
     MITRA_RETURN_IF_ERROR(common::ParallelForStatus(
-        pool, num_chunks,
+        opts.pool, num_chunks,
         [&](size_t c) -> Status {
-          const size_t first = n0 * c / num_chunks;
-          const size_t last = n0 * (c + 1) / num_chunks;
+          std::vector<dsl::NodeTuple>& rows = chunk_out[c];
           Status gov_status = Status::OK();
-          complete[c] = enumerate_range(
-              first, last,
+          enumerate_range(
+              n0 * c / num_chunks, n0 * (c + 1) / num_chunks,
               [&](const dsl::NodeTuple& t) {
-                if (opts.governor != nullptr &&
-                    (chunk_out[c].size() & 0xFF) == 0) {
+                if (seen.contains(t)) return true;
+                // Rows are charged in batches of 256 per chunk.
+                if (opts.governor != nullptr && (rows.size() & 0xFF) == 0) {
                   Status s = opts.governor->ChargeRows(256, "exec/emit");
                   if (!s.ok()) {
                     gov_status = std::move(s);
                     return false;
                   }
                 }
-                chunk_out[c].push_back(t);
-                return static_cast<uint64_t>(chunk_out[c].size()) < chunk_cap;
+                rows.push_back(t);
+                return rows.size() <= opts.max_output_rows;
               },
               &gov_status);
+          MITRA_COUNT("exec/rows/emitted", rows.size());
           return gov_status;
         },
         token));
 
-    const bool any_truncated =
-        std::find(complete.begin(), complete.end(), 0) != complete.end();
-    if (multi_clause && any_truncated) {
-      // Chunk truncation counts pre-dedup tuples, but the overflow cap is
-      // post-dedup — inconclusive. Re-run this clause sequentially for
-      // the exact answer (pathological case: a single clause enumerating
-      // beyond max_output_rows duplicates).
-      MITRA_RETURN_IF_ERROR(run_sequential());
-      continue;
-    }
     uint64_t emitted = 0;
-    for (std::vector<dsl::NodeTuple>& chunk : chunk_out) {
-      for (dsl::NodeTuple& t : chunk) {
-        if (multi_clause && !seen.insert(t).second) continue;
-        out.push_back(std::move(t));
-        if (++emitted > opts.max_output_rows) {
-          return Status::ResourceExhausted("output exceeds max_output_rows");
-        }
+    for (const std::vector<dsl::NodeTuple>& rows : chunk_out) {
+      emitted += rows.size();
+    }
+    if (emitted > opts.max_output_rows) {
+      return Status::ResourceExhausted("output exceeds max_output_rows");
+    }
+    const bool last_clause = clause + 1 == clauses_.size();
+    for (std::vector<dsl::NodeTuple>& rows : chunk_out) {
+      if (!last_clause) seen.insert(rows.begin(), rows.end());
+      if (out.empty()) {
+        out = std::move(rows);
+      } else {
+        out.insert(out.end(), std::make_move_iterator(rows.begin()),
+                   std::make_move_iterator(rows.end()));
       }
     }
-    MITRA_COUNT("exec/rows/emitted", emitted);
-    (void)emitted;
   }
   return out;
 }

@@ -1,12 +1,13 @@
 #ifndef MITRA_CORE_EXECUTOR_H_
 #define MITRA_CORE_EXECUTOR_H_
 
-#include <map>
-#include <mutex>
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/governor.h"
+#include "common/single_flight.h"
 #include "common/status.h"
 #include "dsl/ast.h"
 #include "dsl/eval.h"
@@ -42,45 +43,54 @@ namespace mitra::core {
 /// Cross-program column cache — the paper's §9 future-work optimization:
 /// when several synthesized programs run over the *same* document (one
 /// per database table), they share column extractions (e.g. every IMDB
-/// table program scans `descendants(s, movies)`). Scope one cache per
-/// document; it must outlive the executor calls that use it.
+/// table program scans `descendants(s, movies)`). A cache is built for
+/// one tree and must outlive the executor calls that use it;
+/// `ExecuteNodes` rejects a cache built for another tree.
 ///
-/// Thread-safe: the migrator executes per-table programs concurrently
-/// against one shared cache. Insert is first-wins (extractions are pure
-/// functions of the tree, so concurrent computes yield equal values) and
-/// never invalidates previously returned pointers (std::map nodes are
-/// stable).
+/// Thread-safe and single-flight (common::SingleFlight): the migrator
+/// executes per-table programs concurrently against one cache, and the
+/// first lookup of an extractor evaluates it while concurrent lookups of
+/// the same extractor wait for that result. Every extractor is therefore
+/// evaluated once, and `exec/column_cache/hits` is the number of lookups
+/// minus the number of distinct extractors, whatever the scheduling.
 class ColumnCache {
  public:
-  /// Returns the cached extraction or nullptr.
-  const std::vector<hdt::NodeId>* Lookup(const dsl::ColumnExtractor& pi) const;
-  /// Inserts an extraction (first-wins); returns the stored pointer.
-  const std::vector<hdt::NodeId>* Insert(const dsl::ColumnExtractor& pi,
-                                         std::vector<hdt::NodeId> nodes);
-  size_t size() const;
-  /// Number of Lookup hits (for the memoization benchmark).
-  size_t hits() const;
+  explicit ColumnCache(const hdt::Hdt& tree) : tree_(&tree) {}
+
+  /// `dsl::EvalColumn(tree(), pi)`, evaluated once per distinct
+  /// extractor string.
+  std::shared_ptr<const std::vector<hdt::NodeId>> Column(
+      const dsl::ColumnExtractor& pi);
+
+  const hdt::Hdt& tree() const { return *tree_; }
+  /// Number of distinct extractors looked up.
+  size_t size() const { return columns_.size(); }
+  /// Number of lookups that found their extractor already asked for.
+  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::vector<hdt::NodeId>> cache_;
-  mutable size_t hits_ = 0;
+  const hdt::Hdt* tree_;
+  common::SingleFlight<std::vector<hdt::NodeId>> columns_;
+  std::atomic<size_t> hits_{0};
 };
 
 struct ExecuteOptions {
-  /// Safety cap on emitted result rows.
+  /// Safety cap on the rows one DNF clause emits (after dropping rows an
+  /// earlier clause emitted).
   uint64_t max_output_rows = 100'000'000;
   /// Optional resource governor: emitted rows are charged in batches and
   /// the scan loops poll for cancellation/deadline every few thousand
   /// iterations (bounded-latency checks, including on clauses that emit
   /// nothing).
   common::Governor* governor = nullptr;
-  /// Optional cross-program column cache (see ColumnCache).
+  /// Optional cross-program column cache (see ColumnCache); it must have
+  /// been built for the executed tree. nullptr = a call-local cache.
   ColumnCache* column_cache = nullptr;
-  /// Optional worker pool (not owned): each clause's outermost loop level
-  /// is chunked into contiguous candidate ranges enumerated concurrently
-  /// and merged back in range order, so the emitted tuple sequence is
-  /// identical to the sequential run. nullptr = sequential.
+  /// Optional worker pool (not owned). Each clause's outermost loop level
+  /// is split into contiguous candidate ranges (chunks), enumerated on
+  /// the pool and concatenated in range order, so the emitted tuple
+  /// sequence is the same at every pool size. Without a pool, or with a
+  /// one-thread pool, the clause is one chunk.
   common::ThreadPool* pool = nullptr;
 };
 

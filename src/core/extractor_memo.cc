@@ -1,6 +1,5 @@
 #include "core/extractor_memo.h"
 
-#include <chrono>
 #include <unordered_set>
 #include <utility>
 
@@ -22,52 +21,28 @@ TargetFacts FactsFor(const hdt::Hdt& tree, hdt::NodeId node) {
 }
 
 template <typename T, typename Fn>
-std::shared_ptr<const T> ExtractorMemoCache::GetOrCompute(
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const T>>>* map,
-    const std::string& key, Fn compute) {
-  std::promise<std::shared_ptr<const T>> promise;
-  std::shared_future<std::shared_ptr<const T>> future;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map->find(key);
-    if (it == map->end()) {
-      future = promise.get_future().share();
-      map->emplace(key, future);
-      owner = true;
-    } else {
-      future = it->second;
-    }
-  }
-  if (owner) {
+std::shared_ptr<const T> ExtractorMemoCache::Get(common::SingleFlight<T>* map,
+                                                 const std::string& key,
+                                                 Fn compute) {
+  common::Flight flight;
+  std::shared_ptr<const T> value = map->Get(key, compute, &flight);
+  if (flight == common::Flight::kOwned) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     MITRA_COUNT("memo/extractor/misses", 1);
-    try {
-      promise.set_value(std::make_shared<const T>(compute()));
-    } catch (...) {
-      // Library code is Status-based and should not throw, but a stuck
-      // future would deadlock every other requester of this key.
-      promise.set_exception(std::current_exception());
-    }
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
     MITRA_COUNT("memo/extractor/hits", 1);
-#if MITRA_OBS
-    // Single-flight collision: another thread owns this key and has not
-    // published the value yet, so this requester will block on the future.
-    if (future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
+    // Single-flight collision: the requester waited for the owner.
+    if (flight == common::Flight::kCollided) {
       MITRA_COUNT("memo/extractor/collisions", 1);
     }
-#endif
   }
-  return future.get();
+  return value;
 }
 
 std::shared_ptr<const ColumnEvalEntry> ExtractorMemoCache::Columns(
     const Examples& examples, const dsl::ColumnExtractor& pi) {
-  return GetOrCompute(&columns_, dsl::ToString(pi), [&] {
+  return Get(&columns_, dsl::ToString(pi), [&] {
     ColumnEvalEntry entry;
     entry.values.reserve(examples.size());
     for (const Example& e : examples) {
@@ -80,7 +55,7 @@ std::shared_ptr<const ColumnEvalEntry> ExtractorMemoCache::Columns(
 std::shared_ptr<const EnumeratedEntry> ExtractorMemoCache::Extractors(
     const Examples& examples, const dsl::ColumnExtractor& pi,
     const NodeExtractorEnumOptions& opts) {
-  return GetOrCompute(&extractors_, dsl::ToString(pi), [&] {
+  return Get(&extractors_, dsl::ToString(pi), [&] {
     EnumeratedEntry entry;
     auto columns = Columns(examples, pi);
     std::vector<const hdt::Hdt*> trees;
@@ -112,7 +87,7 @@ std::shared_ptr<const EnumeratedEntry> ExtractorMemoCache::Extractors(
 
 std::shared_ptr<const std::vector<std::string>> ExtractorMemoCache::Constants(
     const Examples& examples, size_t max_constants) {
-  return GetOrCompute(&constants_, "$constants", [&] {
+  return Get(&constants_, "$constants", [&] {
     // First-seen order over all example trees.
     std::vector<std::string> constants;
     std::unordered_set<std::string> seen;

@@ -2,15 +2,13 @@
 #define MITRA_CORE_EXTRACTOR_MEMO_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/single_flight.h"
 #include "common/status.h"
 #include "core/example.h"
 #include "core/node_extractor_enum.h"
@@ -27,12 +25,12 @@
 /// form, so a ψ that reuses a column extractor from any previous combo
 /// pays nothing.
 ///
-/// Thread safety: all Get* methods are safe to call concurrently (the
-/// synthesizer's wave evaluation does). A key being computed by one
-/// thread blocks other requesters for the same key ("single-flight"), so
-/// heavy enumeration work is never duplicated. Cached values are pure
-/// functions of (examples, extractor, options), so memoization cannot
-/// change any result — only its cost.
+/// Thread safety: all methods are safe to call concurrently (the
+/// synthesizer's wave evaluation does). Each of the three maps is a
+/// common::SingleFlight: a key being computed by one thread blocks other
+/// requesters for the same key, so heavy enumeration work is never
+/// duplicated. Cached values are pure functions of (examples, extractor,
+/// options), so memoization cannot change any result — only its cost.
 ///
 /// Lifetime: one cache serves one (examples, options) pair; the
 /// synthesizer scopes one cache per LearnTransformation call. Examples
@@ -98,23 +96,14 @@ class ExtractorMemoCache {
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  /// Single-flight map: find-or-start the computation for `key`; exactly
-  /// one caller runs `compute`, everyone else blocks on its future.
+  /// `map->Get`, counted under memo/extractor/{misses,hits,collisions}.
   template <typename T, typename Fn>
-  std::shared_ptr<const T> GetOrCompute(
-      std::unordered_map<std::string, std::shared_future<std::shared_ptr<const T>>>* map,
-      const std::string& key, Fn compute);
+  std::shared_ptr<const T> Get(common::SingleFlight<T>* map,
+                               const std::string& key, Fn compute);
 
-  mutable std::mutex mu_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const ColumnEvalEntry>>>
-      columns_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const EnumeratedEntry>>>
-      extractors_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const std::vector<std::string>>>>
-      constants_;
+  common::SingleFlight<ColumnEvalEntry> columns_;
+  common::SingleFlight<EnumeratedEntry> extractors_;
+  common::SingleFlight<std::vector<std::string>> constants_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
 };

@@ -17,48 +17,6 @@ namespace mitra::core {
 
 namespace {
 
-/// dsl::EvalCrossProduct, but over already-evaluated (memoized) columns —
-/// identical semantics, including the empty-column early return and the
-/// intermediate-tuple budget.
-Result<std::vector<dsl::NodeTuple>> CrossProductFromColumns(
-    const std::vector<const std::vector<hdt::NodeId>*>& cols,
-    const dsl::EvalOptions& opts) {
-  uint64_t total = 1;
-  for (const auto* c : cols) {
-    total *= c->size();
-    if (c->empty()) return std::vector<dsl::NodeTuple>{};
-    if (total > opts.max_intermediate_tuples) {
-      return Status::ResourceExhausted(
-          "intermediate table would have " + std::to_string(total) +
-          " tuples (limit " + std::to_string(opts.max_intermediate_tuples) +
-          ")");
-    }
-  }
-  if (opts.governor != nullptr) {
-    MITRA_RETURN_IF_ERROR(
-        opts.governor->ChargeRows(total, "eval/cross-product"));
-    MITRA_RETURN_IF_ERROR(opts.governor->ChargeBytes(
-        total * cols.size() * sizeof(hdt::NodeId), "alloc/cross-product"));
-  }
-  std::vector<dsl::NodeTuple> out;
-  if (cols.empty()) return out;
-  out.reserve(static_cast<size_t>(total));
-  dsl::NodeTuple t(cols.size());
-  // Odometer enumeration: column 0 is the outermost loop (Fig. 4b order).
-  std::vector<size_t> idx(cols.size(), 0);
-  while (true) {
-    for (size_t i = 0; i < cols.size(); ++i) t[i] = (*cols[i])[idx[i]];
-    out.push_back(t);
-    size_t i = cols.size();
-    while (i > 0) {
-      --i;
-      if (++idx[i] < cols[i]->size()) break;
-      idx[i] = 0;
-      if (i == 0) return out;
-    }
-  }
-}
-
 /// A class of intermediate rows with identical truth signatures over the
 /// whole predicate universe. Classifiers cannot (and need not) tell apart
 /// rows within one class.
@@ -241,7 +199,7 @@ Result<LearnedPredicate> LearnPredicate(
     cols.reserve(psi.size());
     for (const auto& entry : entries) cols.push_back(&entry->values[e]);
     MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
-                           CrossProductFromColumns(cols, opts.eval));
+                           dsl::CrossProduct(cols, opts.eval));
     rows_per_example.push_back(std::move(rows));
   }
 

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <set>
@@ -20,34 +19,6 @@ namespace mitra::db {
 
 namespace {
 
-/// Streams length-framed byte fields through two independently-seeded FNV
-/// states; the concatenated hex digests form the 128-bit cache key.
-class KeyHasher {
- public:
-  void Bytes(std::string_view s) {
-    Int(s.size());
-    h1_ = Fnv1a64(s.data(), s.size(), h1_);
-    h2_ = Fnv1a64(s.data(), s.size(), h2_);
-  }
-  void Int(std::uint64_t v) {
-    char buf[8];
-    std::memcpy(buf, &v, sizeof(buf));
-    h1_ = Fnv1a64(buf, sizeof(buf), h1_);
-    h2_ = Fnv1a64(buf, sizeof(buf), h2_);
-  }
-  std::string Hex() const {
-    char buf[33];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                  static_cast<unsigned long long>(h1_),
-                  static_cast<unsigned long long>(h2_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h1_ = 1469598103934665603ULL;
-  std::uint64_t h2_ = 0x2f72c98b0a5a37b1ULL;
-};
-
 /// The degradation ladder's rungs: full budgets, reduced caps, and a
 /// projection-only program.
 constexpr int kLadderRungs = 3;
@@ -55,7 +26,7 @@ constexpr int kLadderRungs = 3;
 }  // namespace
 
 std::string ProgramCacheKey(const hdt::Hdt& tree, const hdt::Table& example) {
-  KeyHasher h;
+  KeyHasher h(1469598103934665603ULL, 0x2f72c98b0a5a37b1ULL);
   h.Bytes(dsl::kDslVersion);
   // Tree structure + data. Node ids are preorder ranks, so two
   // textually-equal documents hash identically; the parent/flags framing
@@ -362,8 +333,8 @@ Status Migrator::ExecuteTables(const hdt::Hdt& doc, int doc_index,
   *runs = std::vector<TableExecution>(tables.size());
   // Cross-table memoization (§9): the per-table programs run over the
   // same document and share column extractions through one thread-safe
-  // cache.
-  core::ColumnCache column_cache;
+  // cache, built for this document.
+  core::ColumnCache column_cache(doc);
   return common::ParallelForStatus(
       opts.execute.pool, tables.size(), [&](size_t i) -> Status {
         const TableDef& t = tables[i];
@@ -372,9 +343,7 @@ Status Migrator::ExecuteTables(const hdt::Hdt& doc, int doc_index,
         common::Governor gov(opts.table_limits);
         core::ExecuteOptions exec_opts = opts.execute;
         exec_opts.governor = &gov;
-        if (exec_opts.column_cache == nullptr) {
-          exec_opts.column_cache = &column_cache;
-        }
+        exec_opts.column_cache = &column_cache;
         TableExecution& run = (*runs)[i];
         auto start = std::chrono::steady_clock::now();
         run.table.emplace(BuildTable(t, doc, doc_index, exec_opts));

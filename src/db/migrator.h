@@ -87,9 +87,10 @@ struct MigratorOptions {
   int fk_max_depth = 4;
   /// Execution options for Execute and ExecuteTolerant. When `pool` is set
   /// the tables of a document run on it concurrently (and each table's
-  /// executor chunks its scans over it). The Migrator reads no
-  /// `execute.governor`: each table runs under its own, from
-  /// `table_limits`.
+  /// executor chunks its scans over it). The Migrator reads neither
+  /// `execute.governor` nor `execute.column_cache`: each table runs under
+  /// its own governor, from `table_limits`, and a document's tables share
+  /// one column cache that the Migrator builds for that document.
   core::ExecuteOptions execute;
   /// Per-table resource budgets for every entry point (Learn,
   /// LearnTolerant, Execute, ExecuteTolerant): each table gets a *fresh*

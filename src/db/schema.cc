@@ -2,6 +2,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "common/json_escape.h"
 
@@ -22,6 +23,16 @@ bool IsPlainPathComponent(const std::string& name) {
 }
 
 }  // namespace
+
+TableDef DataOnlyTable(std::string name, size_t num_columns) {
+  TableDef def;
+  def.name = std::move(name);
+  for (size_t c = 0; c < num_columns; ++c) {
+    def.columns.push_back(
+        ColumnDef{"c" + std::to_string(c), ColumnKind::kData, ""});
+  }
+  return def;
+}
 
 size_t TableDef::NumDataColumns() const {
   size_t n = 0;

@@ -42,6 +42,10 @@ struct TableDef {
   int PrimaryKeyIndex() const;
 };
 
+/// A table of `num_columns` data columns named c0..cK-1: the table that
+/// `mitra migrate` and `mitra batch` learn for each example CSV.
+TableDef DataOnlyTable(std::string name, size_t num_columns);
+
 /// A database schema: an ordered list of table definitions.
 struct DatabaseSchema {
   std::vector<TableDef> tables;

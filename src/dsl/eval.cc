@@ -215,22 +215,19 @@ bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
   return false;
 }
 
-Result<std::vector<NodeTuple>> EvalCrossProduct(
-    const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
+Result<std::vector<NodeTuple>> CrossProduct(
+    const std::vector<const std::vector<hdt::NodeId>*>& columns,
     const EvalOptions& opts) {
-  if (columns.size() > kMaxEvalColumns) {
+  const size_t k = columns.size();
+  if (k > kMaxEvalColumns) {
     return Status::ResourceExhausted(
-        "program has " + std::to_string(columns.size()) +
-        " columns (limit " + std::to_string(kMaxEvalColumns) + ")");
+        "program has " + std::to_string(k) + " columns (limit " +
+        std::to_string(kMaxEvalColumns) + ")");
   }
-  std::vector<std::vector<hdt::NodeId>> cols;
-  cols.reserve(columns.size());
   uint64_t total = 1;
-  for (const ColumnExtractor& pi : columns) {
-    MITRA_GOV_CHECK(opts.governor, "eval/column");
-    cols.push_back(EvalColumn(tree, pi));
-    total *= cols.back().size();
-    if (cols.back().empty()) return std::vector<NodeTuple>{};
+  for (const std::vector<hdt::NodeId>* column : columns) {
+    total *= column->size();
+    if (column->empty()) return std::vector<NodeTuple>{};
     if (total > opts.max_intermediate_tuples) {
       return Status::ResourceExhausted(
           "intermediate table would have " + std::to_string(total) +
@@ -244,30 +241,49 @@ Result<std::vector<NodeTuple>> EvalCrossProduct(
     MITRA_RETURN_IF_ERROR(
         opts.governor->ChargeRows(total, "eval/cross-product"));
     MITRA_RETURN_IF_ERROR(opts.governor->ChargeBytes(
-        total * columns.size() * sizeof(hdt::NodeId),
-        "alloc/cross-product"));
+        total * k * sizeof(hdt::NodeId), "alloc/cross-product"));
   }
   std::vector<NodeTuple> out;
+  if (k == 0) return out;
   out.reserve(static_cast<size_t>(total));
-  NodeTuple t(columns.size());
+  NodeTuple t(k);
   // Odometer enumeration: column 0 is the outermost loop, matching the
   // row order of the paper's intermediate-table figure (Fig. 4b).
-  std::vector<size_t> idx(columns.size(), 0);
-  if (columns.empty()) return out;
+  std::vector<size_t> idx(k, 0);
   while (true) {
     if (opts.governor != nullptr && (out.size() & 0xFFF) == 0xFFF) {
       MITRA_GOV_CHECK(opts.governor, "eval/cross-product");
     }
-    for (size_t i = 0; i < columns.size(); ++i) t[i] = cols[i][idx[i]];
+    for (size_t i = 0; i < k; ++i) t[i] = (*columns[i])[idx[i]];
     out.push_back(t);
-    size_t i = columns.size();
+    size_t i = k;
     while (i > 0) {
       --i;
-      if (++idx[i] < cols[i].size()) break;
+      if (++idx[i] < columns[i]->size()) break;
       idx[i] = 0;
       if (i == 0) return out;
     }
   }
+}
+
+Result<std::vector<NodeTuple>> EvalCrossProduct(
+    const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
+    const EvalOptions& opts) {
+  // Columns after the first empty one stay unevaluated, and empty: the
+  // product is empty either way. Past kMaxEvalColumns, CrossProduct
+  // rejects the columns before reading any, so none is evaluated.
+  std::vector<std::vector<hdt::NodeId>> values(columns.size());
+  std::vector<const std::vector<hdt::NodeId>*> cols;
+  cols.reserve(columns.size());
+  for (const std::vector<hdt::NodeId>& v : values) cols.push_back(&v);
+  const size_t to_evaluate =
+      columns.size() <= kMaxEvalColumns ? columns.size() : 0;
+  for (size_t i = 0; i < to_evaluate; ++i) {
+    MITRA_GOV_CHECK(opts.governor, "eval/column");
+    values[i] = EvalColumn(tree, columns[i]);
+    if (values[i].empty()) break;
+  }
+  return CrossProduct(cols, opts);
 }
 
 Result<std::vector<NodeTuple>> EvalProgramNodeTuples(const hdt::Hdt& tree,

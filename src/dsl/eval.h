@@ -112,8 +112,20 @@ Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
 Result<std::vector<NodeTuple>> EvalProgramNodeTuples(
     const hdt::Hdt& tree, const Program& p, const EvalOptions& opts = {});
 
+/// The cross product of already-evaluated columns, column 0 outermost
+/// (the row order of Fig. 4b); empty when a column is empty. Fails with
+/// kResourceExhausted past kMaxEvalColumns columns, or once the product
+/// of the first columns, taken in order, exceeds
+/// `opts.max_intermediate_tuples`. The governor is charged the product's
+/// rows and bytes before it is built and checked every 4096 tuples. The
+/// predicate learner calls it on the memo's columns to build E+/E-.
+Result<std::vector<NodeTuple>> CrossProduct(
+    const std::vector<const std::vector<hdt::NodeId>*>& columns,
+    const EvalOptions& opts = {});
+
 /// Materializes the intermediate table ψ(τ) = π1(τ) × … × πk(τ) without
-/// filtering (used by the predicate learner to build E+/E-).
+/// filtering: evaluates the columns in order, up to the first empty one,
+/// and returns their CrossProduct.
 Result<std::vector<NodeTuple>> EvalCrossProduct(
     const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
     const EvalOptions& opts = {});

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <set>
@@ -81,34 +81,6 @@ Result<std::vector<std::string>> ExpandGlob(const std::string& pattern) {
   }
   return out;
 }
-
-/// Two independently-seeded FNV states over length-framed fields, as in
-/// db::ProgramCacheKey (kept separate: this key covers a whole batch).
-class BatchHasher {
- public:
-  void Bytes(std::string_view s) {
-    Int(s.size());
-    h1_ = Fnv1a64(s.data(), s.size(), h1_);
-    h2_ = Fnv1a64(s.data(), s.size(), h2_);
-  }
-  void Int(std::uint64_t v) {
-    char buf[8];
-    std::memcpy(buf, &v, sizeof(buf));
-    h1_ = Fnv1a64(buf, sizeof(buf), h1_);
-    h2_ = Fnv1a64(buf, sizeof(buf), h2_);
-  }
-  std::string Hex() const {
-    char buf[33];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                  static_cast<unsigned long long>(h1_),
-                  static_cast<unsigned long long>(h2_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h1_ = 0x9b0d3c5a7e1f2b47ULL;
-  std::uint64_t h2_ = 1469598103934665603ULL;
-};
 
 std::string JsonDouble(double v) {
   char buf[32];
@@ -248,7 +220,7 @@ std::string BatchKey(
     const std::string& example_text,
     const std::vector<std::pair<std::string, std::string>>& table_texts,
     const std::vector<std::string>& doc_paths) {
-  BatchHasher h;
+  KeyHasher h(0x9b0d3c5a7e1f2b47ULL, 1469598103934665603ULL);
   h.Bytes(dsl::kDslVersion);
   h.Bytes(example_text);
   h.Int(table_texts.size());
@@ -466,14 +438,7 @@ Result<BatchReport> RunBatch(const BatchManifest& manifest,
     MITRA_ASSIGN_OR_RETURN(std::vector<hdt::Row> rows, ParseCsv(csv));
     MITRA_ASSIGN_OR_RETURN(hdt::Table table,
                            hdt::Table::FromRows(std::move(rows)));
-    // Data-only schema, columns c0..cK-1, matching `mitra migrate`.
-    db::TableDef def;
-    def.name = name;
-    for (size_t c = 0; c < table.NumCols(); ++c) {
-      def.columns.push_back(
-          db::ColumnDef{"c" + std::to_string(c), db::ColumnKind::kData, ""});
-    }
-    schema.tables.push_back(std::move(def));
+    schema.tables.push_back(db::DataOnlyTable(name, table.NumCols()));
     examples.emplace(name, std::move(table));
     table_texts.emplace_back(name, std::move(csv));
   }

@@ -143,7 +143,7 @@ CheckResult CheckExecutionEquivalence(const hdt::Hdt& tree,
     }
   }
 
-  core::ColumnCache cache;
+  core::ColumnCache cache(tree);
   core::ExecuteOptions copts;
   copts.column_cache = &cache;
   for (int round = 0; round < 2; ++round) {

@@ -207,6 +207,34 @@ TEST(Migrator, MultiDocumentKeysStayUnique) {
   EXPECT_TRUE(CheckDatabaseConstraints(migrator.schema(), db).ok());
 }
 
+// MigratorOptions are reused across a fleet's documents, so a column cache
+// set in `execute` must not carry one document's node ids into the next:
+// the Migrator builds its own cache per document and ignores the caller's.
+TEST(Migrator, CallerColumnCacheIsIgnored) {
+  hdt::Hdt example = ParseXmlOrDie(kExampleDoc);
+  std::map<std::string, hdt::Table> examples;
+  examples["papers"] = MakeTable({{"T1", "2001"}, {"T2", "2002"}});
+  examples["authorship"] = MakeTable({{"A"}, {"B"}, {"C"}});
+  Migrator migrator(PubSchema());
+  ASSERT_TRUE(migrator.Learn(example, examples).ok());
+
+  hdt::Hdt big = ParseXmlOrDie(kFullDoc);
+  hdt::Hdt small = ParseXmlOrDie(kExampleDoc);
+  core::ColumnCache cache(big);
+  MigratorOptions with_cache;
+  with_cache.execute.column_cache = &cache;
+  for (const hdt::Hdt* doc : {&big, &small}) {
+    auto want = migrator.Execute(*doc);
+    auto got = migrator.Execute(*doc, 0, with_cache);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->tables.size(), want->tables.size());
+    for (const auto& [name, table] : want->tables) {
+      EXPECT_EQ(got->tables.at(name).rows(), table.rows()) << name;
+    }
+  }
+}
+
 TEST(Migrator, MissingExampleIsError) {
   hdt::Hdt example = ParseXmlOrDie(kExampleDoc);
   std::map<std::string, hdt::Table> examples;

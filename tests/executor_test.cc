@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/executor.h"
@@ -422,12 +425,76 @@ TEST(OptimizedExecutor, JoinGraphOrderingAvoidsCrossProduct) {
   ExpectAgreesWithNaive(t, p);
 }
 
+// Two overlapping clauses: x1 holds a1..a10 and x2 holds a1..a4. Clause 1
+// (a < 4) emits 6 tuples; clause 2 (a < 11) enumerates 14, of which 8 are
+// new, 10 of them under x1. The one enumeration loop must give the same
+// tuples, or the same overflow, with no pool and at every pool size.
+TEST(OptimizedExecutor, OverlappingClausesAgreeAtEveryPoolSize) {
+  hdt::Hdt t = ParseXmlOrDie(
+      "<r><x><a>1</a><a>2</a><a>3</a><a>4</a><a>5</a><a>6</a><a>7</a>"
+      "<a>8</a><a>9</a><a>10</a></x>"
+      "<x><a>1</a><a>2</a><a>3</a><a>4</a></x></r>");
+  Program p;
+  p.columns = {ColumnExtractor{{{ColOp::kChildren, "x", 0}}},
+               ColumnExtractor{{{ColOp::kDescendants, "a", 0}}}};
+  Atom parent_is_x;  // parent(t[1]) = t[0], a node identity join
+  parent_is_x.lhs_col = 1;
+  parent_is_x.lhs_path = dsl::NodeExtractor{{{NodeOp::kParent, "", 0}}};
+  parent_is_x.op = CmpOp::kEq;
+  parent_is_x.rhs_col = 0;
+  Atom below;
+  below.lhs_col = 1;
+  below.rhs_is_const = true;
+  below.op = CmpOp::kLt;
+  Atom below_4 = below, below_11 = below;
+  below_4.rhs_const = "4";
+  below_11.rhs_const = "11";
+  p.atoms = {parent_is_x, below_4, below_11};
+  p.formula = Dnf{{{Literal{0, false}, Literal{1, false}},
+                   {Literal{0, false}, Literal{2, false}}}};
+  ExpectAgreesWithNaive(t, p);
+
+  OptimizedExecutor exec(p);
+  common::ThreadPool pool1(1), pool4(4), pool8(8);
+  // A cap of 9 lies between clause 2's post-dedup (8) and pre-dedup (14)
+  // counts; a cap of 7 lies below its post-dedup count.
+  for (uint64_t cap : {9u, 7u}) {
+    std::optional<Result<std::vector<dsl::NodeTuple>>> base;
+    for (common::ThreadPool* pool :
+         {static_cast<common::ThreadPool*>(nullptr), &pool1, &pool4,
+          &pool8}) {
+      ExecuteOptions opts;
+      opts.max_output_rows = cap;
+      opts.pool = pool;
+      auto got = exec.ExecuteNodes(t, opts);
+      const std::string what = "cap " + std::to_string(cap) + ", " +
+                               std::to_string(pool ? pool->size() : 0) +
+                               " threads";
+      if (cap == 9) {
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        EXPECT_EQ(got->size(), 14u) << what;
+      } else {
+        ASSERT_FALSE(got.ok()) << what;
+        EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+      }
+      if (!base) {
+        base = std::move(got);
+      } else if (got.ok()) {
+        EXPECT_EQ(*got, **base) << what;
+      } else {
+        EXPECT_EQ(got.status().ToString(), base->status().ToString())
+            << what;
+      }
+    }
+  }
+}
+
 TEST(ColumnCacheTest, SharesExtractionsAcrossPrograms) {
   hdt::Hdt t = test::ParseXmlOrDie(kDoc);
   Program p1, p2;
   p1.columns = {Fids()};
   p2.columns = {Fids(), Names()};
-  ColumnCache cache;
+  ColumnCache cache(t);
   ExecuteOptions opts;
   opts.column_cache = &cache;
   OptimizedExecutor e1(p1), e2(p2);
@@ -443,6 +510,11 @@ TEST(ColumnCacheTest, SharesExtractionsAcrossPrograms) {
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_TRUE(with->BagEquals(*without));
+  // A cache is bound to the tree it was built for.
+  hdt::Hdt other = test::ParseXmlOrDie(kDoc);
+  auto foreign = e2.Execute(other, opts);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/synthesizer.h"
 #include "db/migrator.h"
 #include "json/json_parser.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "workload/corpus.h"
 #include "workload/datasets.h"
@@ -594,25 +595,61 @@ TEST(ParallelExecutor, OverflowStatusMatchesSequential) {
   EXPECT_EQ(seq.status().message(), par.status().message());
 }
 
-TEST(ColumnCacheThreadSafety, ConcurrentInsertFirstWins) {
+TEST(ColumnCacheThreadSafety, ConcurrentLookupsEvaluateOnce) {
   hdt::Hdt t = ParseXmlOrDie("<r><a>1</a><a>2</a></r>");
-  dsl::ColumnExtractor pi;  // trivial extractor: whatever default is, key
-                            // only depends on its string form
-  core::ColumnCache cache;
+  dsl::ColumnExtractor pi{{{dsl::ColOp::kDescendants, "a", 0}}};
+  core::ColumnCache cache(t);
   common::ThreadPool pool(4);
   std::vector<const std::vector<hdt::NodeId>*> ptrs(64);
-  common::ParallelFor(&pool, 64, [&](size_t i) {
-    const auto* p = cache.Lookup(pi);
-    if (p == nullptr) {
-      p = cache.Insert(pi, dsl::EvalColumn(t, pi));
-    }
-    ptrs[i] = p;
-  });
-  // Every thread must observe the same stored vector (first-wins).
+  obs::MetricsSnapshot before = obs::SnapshotMetrics();
+  common::ParallelFor(&pool, 64,
+                      [&](size_t i) { ptrs[i] = cache.Column(pi).get(); });
+  obs::MetricsSnapshot delta = obs::SnapshotDelta(before);
+  // Single-flight: one lookup evaluates the column, the other 63 read
+  // (or wait for) its one stored vector.
   for (size_t i = 1; i < ptrs.size(); ++i) {
     ASSERT_EQ(ptrs[i], ptrs[0]);
   }
+  EXPECT_EQ(*ptrs[0], dsl::EvalColumn(t, pi));
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 63u);
+#if MITRA_OBS
+  EXPECT_EQ(delta["exec/column_cache/misses"], 1u);
+  EXPECT_EQ(delta["exec/column_cache/hits"], 63u);
+#endif
+}
+
+// A document's tables share one single-flight column cache, so its hit
+// count is the number of lookups minus the number of distinct columns,
+// on an 8-thread pool as without one.
+TEST(ParallelMigratorExecute, ColumnCacheHitsRepeatOnAPool) {
+  const workload::DatasetSpec* dblp = nullptr;
+  for (const workload::DatasetSpec* spec : workload::AllDatasets()) {
+    if (spec->name == "DBLP") dblp = spec;
+  }
+  ASSERT_NE(dblp, nullptr);
+  hdt::Hdt example = ParseDatasetDoc(*dblp, dblp->example_document);
+  hdt::Hdt doc = ParseDatasetDoc(*dblp, dblp->generate(3000, 7));
+  db::Migrator m(dblp->schema);
+  Status learned = m.Learn(example, DatasetExamples(*dblp), LearnOptions(4));
+  ASSERT_TRUE(learned.ok()) << learned.ToString();
+
+  common::ThreadPool pool(8);
+  auto hits_of_one_execute = [&](common::ThreadPool* p) {
+    db::MigratorOptions opts;
+    opts.execute.pool = p;
+    obs::MetricsSnapshot before = obs::SnapshotMetrics();
+    auto db = m.Execute(doc, 0, opts);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return obs::SnapshotDelta(before)["exec/column_cache/hits"];
+  };
+  const uint64_t want = hits_of_one_execute(nullptr);
+#if MITRA_OBS
+  EXPECT_GT(want, 0u);
+#endif
+  for (int run = 0; run < 10; ++run) {
+    EXPECT_EQ(hits_of_one_execute(&pool), want) << "run " << run;
+  }
 }
 
 }  // namespace

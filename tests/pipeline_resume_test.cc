@@ -222,6 +222,15 @@ TEST(PipelineResume, StaleJournalIsIgnored) {
   common::SetFileSystemForTest(nullptr);
 }
 
+// The batch key heads every journal, so a moved key makes every existing
+// journal stale: pin one value.
+TEST(PipelineResume, BatchKeyIsPinned) {
+  EXPECT_EQ(BatchKey("<db><person><name>Alice</name></person></db>",
+                     {{"people", "Alice\n"}, {"ages", "30\n41\n"}},
+                     {"docs/d0.xml", "docs/d1.xml"}),
+            "867789152b11b97608d041a3d3374df2");
+}
+
 TEST(PipelineResume, ResumedShardMissingForcesReexecution) {
   common::MemoryFileSystem mem;
   common::SetFileSystemForTest(&mem);

@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,13 +68,11 @@
 #include "db/schema.h"
 #include "dsl/parser.h"
 #include "json/js_codegen.h"
-#include "json/json_parser.h"
 #include "obs/obs.h"
 #include "pipeline/batch.h"
 #include "pipeline/program_cache.h"
 #include "pipeline/worker.h"
 #include "testing/hard_fault.h"
-#include "xml/xml_parser.h"
 #include "xml/xslt_codegen.h"
 
 namespace mitra {
@@ -103,15 +102,10 @@ int Fail(const Status& status) {
   return ExitCodeFor(status);
 }
 
-bool IsJsonPath(const std::string& path) {
-  return path.size() >= 5 && path.substr(path.size() - 5) == ".json";
-}
-
 Result<hdt::Hdt> ParseDoc(const std::string& path) {
   MITRA_ASSIGN_OR_RETURN(std::string text,
                          common::GetFileSystem()->ReadFile(path));
-  if (IsJsonPath(path)) return json::ParseJson(text);
-  return xml::ParseXml(text);
+  return pipeline::ParseFleetDoc(path, text);
 }
 
 /// Flags: `--name value` or `--name=value`; a trailing `--name` maps to "".
@@ -167,6 +161,17 @@ int ThreadsFlag(const std::map<std::string, std::string>& flags) {
   auto it = flags.find("threads");
   if (it == flags.end()) return 0;
   return std::atoi(it->second.c_str());
+}
+
+/// The worker pool --threads asks for, or none when that is one thread.
+std::unique_ptr<common::ThreadPool> PoolFlag(
+    const std::map<std::string, std::string>& flags) {
+  const int threads_flag = ThreadsFlag(flags);
+  const unsigned threads =
+      threads_flag == 0 ? common::ThreadPool::HardwareThreads()
+                        : static_cast<unsigned>(std::max(1, threads_flag));
+  if (threads <= 1) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
 }
 
 /// Budget flags → ResourceLimits (absent flags leave the axis unlimited).
@@ -254,17 +259,9 @@ int Apply(const std::map<std::string, std::string>& flags) {
   }
   auto tree = ParseDoc(doc_it->second);
   if (!tree.ok()) return Fail(tree.status());
-  const int threads_flag = ThreadsFlag(flags);
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
-  std::optional<common::ThreadPool> pool;
+  std::unique_ptr<common::ThreadPool> pool = PoolFlag(flags);
   core::ExecuteOptions eopts;
-  if (threads > 1) {
-    pool.emplace(threads);
-    eopts.pool = &*pool;
-  }
+  eopts.pool = pool.get();
   common::Governor governor(LimitsFlags(flags));
   eopts.governor = &governor;
   auto out = core::ExecuteOptimized(*tree, *program, eopts);
@@ -327,29 +324,15 @@ int Migrate(const std::map<std::string, std::string>& flags) {
   for (const auto& [name, path] : *specs) {
     auto table = LoadCsvTable(path);
     if (!table.ok()) return Fail(table.status());
-    db::TableDef def;
-    def.name = name;
-    for (size_t c = 0; c < table->NumCols(); ++c) {
-      def.columns.push_back(db::ColumnDef{"c" + std::to_string(c),
-                                          db::ColumnKind::kData, ""});
-    }
-    schema.tables.push_back(std::move(def));
+    schema.tables.push_back(db::DataOnlyTable(name, table->NumCols()));
     examples.emplace(name, std::move(*table));
   }
 
   db::MigratorOptions mopts;
   mopts.table_limits = LimitsFlags(flags);
   mopts.synthesis.num_threads = ThreadsFlag(flags);
-  const int threads_flag = ThreadsFlag(flags);
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
-  std::optional<common::ThreadPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    mopts.execute.pool = &*pool;
-  }
+  std::unique_ptr<common::ThreadPool> pool = PoolFlag(flags);
+  mopts.execute.pool = pool.get();
 
   db::Migrator migrator(schema);
   obs::MetricsSnapshot metrics_before = obs::SnapshotMetrics();
@@ -485,17 +468,9 @@ int Batch(const std::map<std::string, std::string>& flags) {
     bopts.cache = &*cache;
   }
 
-  const int threads_flag = ThreadsFlag(flags);
-  bopts.migrator.synthesis.num_threads = threads_flag;
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
-  std::optional<common::ThreadPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    bopts.pool = &*pool;
-  }
+  bopts.migrator.synthesis.num_threads = ThreadsFlag(flags);
+  std::unique_ptr<common::ThreadPool> pool = PoolFlag(flags);
+  bopts.pool = pool.get();
 
   obs::MetricsSnapshot metrics_before = obs::SnapshotMetrics();
   auto report = pipeline::RunBatch(*manifest, bopts);
