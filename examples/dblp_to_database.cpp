@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
   const hdt::Table& authorship = database->tables.at("article_author");
   std::printf("\nFirst authorship rows (note generated keys):\n");
   for (size_t i = 0; i < authorship.NumRows() && i < 3; ++i) {
-    std::printf("  aid=%s name=\"%s\" article=%s\n",
-                authorship.row(i)[0].c_str(), authorship.row(i)[1].c_str(),
-                authorship.row(i)[2].c_str());
+    const hdt::Row row = authorship.row(i);
+    std::printf("  aid=%s name=\"%s\" article=%s\n", row[0].c_str(),
+                row[1].c_str(), row[2].c_str());
   }
   return 0;
 }

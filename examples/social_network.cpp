@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   std::printf("Migrated %zu friendship rows. First three:\n",
               rows->NumRows());
   for (size_t i = 0; i < rows->NumRows() && i < 3; ++i) {
-    std::printf("  (%s, %s, %s)\n", rows->row(i)[0].c_str(),
-                rows->row(i)[1].c_str(), rows->row(i)[2].c_str());
+    const hdt::Row row = rows->row(i);
+    std::printf("  (%s, %s, %s)\n", row[0].c_str(), row[1].c_str(),
+                row[2].c_str());
   }
   std::printf("\nExecution plan:\n%s", exec.DescribePlan().c_str());
   return 0;

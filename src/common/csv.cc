@@ -1,9 +1,5 @@
 #include "common/csv.h"
 
-#include <algorithm>
-#include <array>
-#include <cassert>
-
 namespace mitra {
 
 Result<std::vector<std::vector<std::string>>> ParseCsv(
@@ -82,62 +78,6 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
   if (in_quotes) return Status::ParseError("CSV: unterminated quoted field");
   if (field_started || !field.empty() || !row.empty()) end_row();
   return rows;
-}
-
-namespace {
-
-/// The bytes that make a field need quoting (RFC 4180).
-constexpr std::array<bool, 256> kQuoteTrigger = [] {
-  std::array<bool, 256> t{};
-  for (unsigned char c : {',', '"', '\n', '\r'}) t[c] = true;
-  return t;
-}();
-
-bool NeedsQuotes(std::string_view f) {
-  return std::any_of(f.begin(), f.end(), [](char c) {
-    return kQuoteTrigger[static_cast<unsigned char>(c)];
-  });
-}
-
-/// The bytes `f` takes as a CSV field: quoted fields gain two quotes and
-/// a second '"' per '"'.
-size_t FieldSize(std::string_view f) {
-  if (!NeedsQuotes(f)) return f.size();
-  const auto quotes = std::count(f.begin(), f.end(), '"');
-  return f.size() + 2 + static_cast<size_t>(quotes);
-}
-
-}  // namespace
-
-std::string WriteCsv(const std::vector<std::vector<std::string>>& rows) {
-  // Size the output exactly first, so it is allocated once. A row of n
-  // fields adds n - 1 commas and a newline.
-  size_t size = 0;
-  for (const auto& row : rows) {
-    size += std::max<size_t>(row.size(), 1);
-    for (const std::string& f : row) size += FieldSize(f);
-  }
-  std::string out(size, '\0');
-  char* p = out.data();
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) *p++ = ',';
-      const std::string& f = row[i];
-      if (!NeedsQuotes(f)) {
-        p = std::copy(f.begin(), f.end(), p);
-        continue;
-      }
-      *p++ = '"';
-      for (char c : f) {
-        if (c == '"') *p++ = '"';
-        *p++ = c;
-      }
-      *p++ = '"';
-    }
-    *p++ = '\n';
-  }
-  assert(p == out.data() + out.size());
-  return out;
 }
 
 }  // namespace mitra

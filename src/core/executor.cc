@@ -1,14 +1,12 @@
 #include "core/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <functional>
-#include <iterator>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <ranges>
+#include <span>
 
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 
@@ -45,12 +43,21 @@ struct U128Key {
   bool operator==(const U128Key&) const = default;
 };
 
-struct U128KeyHash {
-  size_t operator()(const U128Key& k) const noexcept {
-    return static_cast<size_t>(
-        HashCombine(k.kind + 0x51ed270b9a3e29b5ULL, k.payload));
-  }
-};
+/// MurmurHash3's 64-bit finalizer: every input bit reaches the low bits a
+/// power-of-two slot table keeps (a double's bit pattern has none of its
+/// own there).
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+uint64_t HashKey(const U128Key& k) {
+  return Mix64(k.payload ^ Mix64(k.kind + 0x51ed270b9a3e29b5ULL));
+}
 
 U128Key JoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
   if (!tree.IsLeaf(n)) {
@@ -69,24 +76,121 @@ U128Key JoinKey(const hdt::Hdt& tree, hdt::NodeId n) {
   return {2, static_cast<uint64_t>(static_cast<uint32_t>(d))};
 }
 
-/// Hash-join index over node keys (integer compares, one dictionary
-/// lookup per probe). Built single-threaded, then probed concurrently
-/// from the parallel enumeration (Find is const).
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// The power-of-two slot count that keeps `n` entries at most half full.
+size_t SlotCount(size_t n) { return std::bit_ceil(std::max<size_t>(2 * n, 16)); }
+
+/// Hash-join index over node keys, flat: an open-addressing slot table
+/// maps a key to its group, and the groups' values sit in one CSR array,
+/// each group in candidate order. Build sizes everything from the
+/// candidate count, so it makes a constant number of allocations, and
+/// the slot table stays at most half full. Built single-threaded, then
+/// probed concurrently from the chunked enumeration (Find is const).
 class JoinIndex {
  public:
-  void Add(const hdt::Hdt& tree, hdt::NodeId key_node, hdt::NodeId value) {
-    MITRA_COUNT("exec/join/keys", 1);
-    by_key_[JoinKey(tree, key_node)].push_back(value);
+  /// Indexes each candidate `n` under JoinKey(path(n)), leaving out those
+  /// whose path is ⊥ (the equality cannot hold for them).
+  void Build(const hdt::Hdt& tree, const std::vector<hdt::NodeId>& candidates,
+             const dsl::BoundNodeExtractor& path) {
+    const size_t n = candidates.size();
+    slots_.assign(SlotCount(n), kNoSlot);
+    keys_.clear();
+    keys_.reserve(n);
+    // Pass 1: each candidate's group (kNoSlot when left out) and the
+    // groups' sizes, counted at starts_[g + 2].
+    std::vector<uint32_t> group_of(n, kNoSlot);
+    starts_.reserve(n + 2);
+    starts_.assign(2, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const hdt::NodeId m = dsl::EvalNodeExtractor(tree, path, candidates[i]);
+      if (m == hdt::kInvalidNode) continue;
+      const U128Key key = JoinKey(tree, m);
+      uint32_t& slot = slots_[Slot(key)];
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(keys_.size());
+        keys_.push_back(key);
+        starts_.push_back(0);
+      }
+      group_of[i] = slot;
+      ++starts_[slot + 2];
+    }
+    // Pass 2: starts_[g + 1] becomes group g's start, then its fill
+    // cursor, which ends at group g + 1's start.
+    for (size_t g = 2; g < starts_.size(); ++g) starts_[g] += starts_[g - 1];
+    values_.resize(starts_.back());
+    for (size_t i = 0; i < n; ++i) {
+      if (group_of[i] != kNoSlot) {
+        values_[starts_[group_of[i] + 1]++] = candidates[i];
+      }
+    }
+    starts_.pop_back();
+    MITRA_COUNT("exec/join/keys", values_.size());
   }
 
-  const std::vector<hdt::NodeId>* Find(const hdt::Hdt& tree,
-                                       hdt::NodeId key_node) const {
-    auto it = by_key_.find(JoinKey(tree, key_node));
-    return it == by_key_.end() ? nullptr : &it->second;
+  /// The candidates indexed under `key_node`'s key, in candidate order.
+  std::span<const hdt::NodeId> Find(const hdt::Hdt& tree,
+                                    hdt::NodeId key_node) const {
+    const uint32_t g = slots_[Slot(JoinKey(tree, key_node))];
+    if (g == kNoSlot) return {};
+    return {values_.data() + starts_[g], values_.data() + starts_[g + 1]};
   }
 
  private:
-  std::unordered_map<U128Key, std::vector<hdt::NodeId>, U128KeyHash> by_key_;
+  /// The slot holding `key`'s group, or the empty slot where it goes
+  /// (linear probing).
+  size_t Slot(const U128Key& key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = HashKey(key) & mask;
+    while (slots_[s] != kNoSlot && !(keys_[slots_[s]] == key)) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+
+  std::vector<uint32_t> slots_;  ///< group index, or kNoSlot
+  std::vector<U128Key> keys_;    ///< per group
+  /// Group g's values are values_[starts_[g], starts_[g + 1]).
+  std::vector<uint32_t> starts_;
+  std::vector<hdt::NodeId> values_;
+};
+
+/// The rows of a NodeTable as a set by content, for dropping the tuples
+/// of earlier DNF clauses: an open-addressing table of row indices, built
+/// once per clause and then only read (concurrently, by the chunks).
+class RowSet {
+ public:
+  /// Holds every row of `table`, which must outlive the set unchanged.
+  void Reset(const NodeTable& table) {
+    table_ = &table;
+    slots_.assign(SlotCount(table.size()), kNoSlot);
+    for (size_t r = 0; r < table.size(); ++r) {
+      uint32_t& slot = slots_[Slot(table[r])];
+      if (slot == kNoSlot) slot = static_cast<uint32_t>(r);
+    }
+  }
+
+  bool empty() const { return table_ == nullptr || table_->empty(); }
+
+  bool Contains(std::span<const hdt::NodeId> row) const {
+    return slots_[Slot(row)] != kNoSlot;
+  }
+
+ private:
+  size_t Slot(std::span<const hdt::NodeId> row) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (hdt::NodeId n : row) h = Mix64(h ^ static_cast<uint32_t>(n));
+    const size_t mask = slots_.size() - 1;
+    size_t s = h & mask;
+    while (slots_[s] != kNoSlot &&
+           !std::ranges::equal((*table_)[slots_[s]], row)) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+
+  const NodeTable* table_ = nullptr;
+  std::vector<uint32_t> slots_;  ///< row index, or kNoSlot
 };
 
 }  // namespace
@@ -192,7 +296,16 @@ void OptimizedExecutor::PlanClause(const std::vector<Literal>& clause) {
   clauses_.push_back(std::move(plan));
 }
 
-Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
+std::vector<dsl::NodeTuple> NodeTable::ToTuples() const {
+  std::vector<dsl::NodeTuple> out;
+  out.reserve(size());
+  for (size_t r = 0; r < size(); ++r) {
+    out.emplace_back((*this)[r].begin(), (*this)[r].end());
+  }
+  return out;
+}
+
+Result<NodeTable> OptimizedExecutor::ExecuteNodes(
     const hdt::Hdt& tree, const ExecuteOptions& opts) const {
   MITRA_SPAN(span, "exec/execute_nodes");
   const size_t k = program_.columns.size();
@@ -206,6 +319,9 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
         "column cache was built for another tree");
   }
   MITRA_GOV_CHECK(opts.governor, "exec/start");
+  NodeTable out{k, {}};
+  // No columns: no tuples, as in the reference evaluator.
+  if (k == 0) return out;
   // Every atom's node extractors, bound to this tree's tag ids once per
   // call; the pool threads below only read them.
   const std::vector<dsl::BoundAtom> atoms =
@@ -222,13 +338,12 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     columns[i] = cache.Column(program_.columns[i]);
   }
 
-  std::vector<dsl::NodeTuple> out;
-  // The tuples of earlier clauses, which a later clause drops.
-  std::set<dsl::NodeTuple> seen;
-
   // A program with constant-true formula (no clauses with literals but one
   // empty clause) or constant-false (no clauses).
   if (program_.formula.clauses.empty()) return out;
+
+  // The tuples of earlier clauses, which a later clause drops.
+  RowSet seen;
 
   // Dictionary-memoized constant predicates: each unary `path(col) op
   // const` literal compares against a given distinct leaf value once;
@@ -280,6 +395,7 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     for (size_t l = 0; l < k && !clause_empty; ++l) {
       const LevelPlan& lp = plan.levels[l];
       size_t col = static_cast<size_t>(lp.column);
+      filtered[col].reserve(columns[col]->size());
       for (hdt::NodeId n : *columns[col]) {
         bool pass = true;
         probe[col] = n;
@@ -306,144 +422,165 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
           plan.literals[static_cast<size_t>(lp.driver.literal_index)];
       const dsl::BoundAtom& a = atoms[static_cast<size_t>(lit.atom)];
       // The side of the atom bound at *this* level.
-      const dsl::BoundNodeExtractor& my_path =
-          lp.driver.probe_is_lhs ? a.rhs_path : a.lhs_path;
-      for (hdt::NodeId n : filtered[static_cast<size_t>(lp.column)]) {
-        hdt::NodeId m = dsl::EvalNodeExtractor(tree, my_path, n);
-        if (m == hdt::kInvalidNode) continue;  // atom would be false
-        index[l].Add(tree, m, n);
-      }
+      index[l].Build(tree, filtered[static_cast<size_t>(lp.column)],
+                     lp.driver.probe_is_lhs ? a.rhs_path : a.lhs_path);
     }
 
-    // Nested-loop enumeration with early checks. `enumerate_range` runs
-    // the loop nest with the outermost level restricted to candidates
-    // [first, last); `emit` receives each surviving tuple and returns
-    // false to stop the enumeration. Reads only immutable clause state, so
-    // disjoint ranges are safe to enumerate concurrently.
-    auto enumerate_range =
-        [&](size_t first, size_t last,
-            const std::function<bool(const dsl::NodeTuple&)>& emit,
-            Status* gov_status) {
+    // Nested-loop enumeration with early checks, as an explicit loop over
+    // the levels. `enumerate_range` runs the loop nest with the outermost
+    // level restricted to candidates [first, last) and hands each
+    // surviving tuple to `emit`, which returns false to stop the
+    // enumeration. It reads only immutable clause state, so disjoint
+    // ranges are safe to enumerate concurrently. The governor is polled
+    // every 4096 bindings that pass their level's checks.
+    auto enumerate_range = [&](size_t first, size_t last,
+                               auto&& emit) -> Status {
       dsl::NodeTuple tuple(k, hdt::kInvalidNode);
-      bool stopped = false;
+      // Each level's candidates and the next one to bind.
+      std::vector<std::span<const hdt::NodeId>> cands(k);
+      std::vector<size_t> next(k, 0);
       uint64_t iters = 0;
       // Candidate-loop iterations across all levels; accumulated locally
       // and flushed once per range so the loop nest pays no atomic per row.
       uint64_t scanned = 0;
-      std::function<void(size_t)> rec = [&](size_t level) {
-        if (stopped) return;
+      auto poll = [&]() -> Status {
         if (opts.governor != nullptr && (++iters & 0xFFF) == 0) {
-          Status s = opts.governor->Check("exec/scan");
-          if (!s.ok()) {
-            *gov_status = std::move(s);
-            stopped = true;
-            return;
-          }
+          return opts.governor->Check("exec/scan");
         }
-        if (level == k) {
-          if (!emit(tuple)) stopped = true;
-          return;
-        }
-        const LevelPlan& lp = plan.levels[level];
-        const std::vector<hdt::NodeId>* cands =
-            &filtered[static_cast<size_t>(lp.column)];
-        if (lp.has_driver) {
-          const Literal& lit =
-              plan.literals[static_cast<size_t>(lp.driver.literal_index)];
-          const dsl::BoundAtom& a = atoms[static_cast<size_t>(lit.atom)];
-          const dsl::BoundNodeExtractor& probe_path =
-              lp.driver.probe_is_lhs ? a.lhs_path : a.rhs_path;
-          hdt::NodeId bound = tuple[static_cast<size_t>(lp.driver.probe_col)];
-          hdt::NodeId m = dsl::EvalNodeExtractor(tree, probe_path, bound);
-          if (m == hdt::kInvalidNode) return;  // equality cannot hold
-          const std::vector<hdt::NodeId>* hit = index[level].Find(tree, m);
-          if (hit == nullptr) return;
-          cands = hit;
-        }
-        // Drivers are never planned at level 0 (a join resolves where its
-        // *later* column binds, level ≥ 1), so the range restriction below
-        // always applies to the full filtered candidate list.
-        const size_t begin = level == 0 ? first : 0;
-        const size_t end = level == 0 ? last : cands->size();
-        for (size_t ci = begin; ci < end; ++ci) {
-          ++scanned;
-          tuple[static_cast<size_t>(lp.column)] = (*cands)[ci];
-          bool pass = true;
-          for (int li : lp.check_literals) {
-            const Literal& lit = plan.literals[static_cast<size_t>(li)];
-            bool v = dsl::EvalAtom(
-                tree, atoms[static_cast<size_t>(lit.atom)], tuple);
-            if (lit.negated) v = !v;
-            if (!v) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) rec(level + 1);
-          if (stopped) return;
-        }
-        tuple[static_cast<size_t>(lp.column)] = hdt::kInvalidNode;
+        return Status::OK();
       };
-      rec(0);
+      Status st = poll();
+      // Drivers are never planned at level 0 (a join resolves where its
+      // *later* column binds, level ≥ 1), so the range restriction
+      // always applies to the full filtered candidate list.
+      cands[0] = std::span<const hdt::NodeId>(
+                     filtered[static_cast<size_t>(plan.levels[0].column)])
+                     .subspan(first, last - first);
+      size_t level = 0;
+      while (st.ok()) {
+        const LevelPlan& lp = plan.levels[level];
+        const size_t col = static_cast<size_t>(lp.column);
+        if (next[level] == cands[level].size()) {
+          tuple[col] = hdt::kInvalidNode;
+          if (level == 0) break;
+          --level;
+          continue;
+        }
+        ++scanned;
+        tuple[col] = cands[level][next[level]++];
+        bool pass = true;
+        for (int li : lp.check_literals) {
+          const Literal& lit = plan.literals[static_cast<size_t>(li)];
+          bool v =
+              dsl::EvalAtom(tree, atoms[static_cast<size_t>(lit.atom)], tuple);
+          if (lit.negated) v = !v;
+          if (!v) {
+            pass = false;
+            break;
+          }
+        }
+        if (!pass) continue;
+        st = poll();
+        if (!st.ok()) break;
+        if (level + 1 == k) {
+          if (!emit(tuple)) break;
+          continue;
+        }
+        ++level;
+        next[level] = 0;
+        const LevelPlan& inner = plan.levels[level];
+        if (!inner.has_driver) {
+          cands[level] = filtered[static_cast<size_t>(inner.column)];
+          continue;
+        }
+        const Literal& lit =
+            plan.literals[static_cast<size_t>(inner.driver.literal_index)];
+        const dsl::BoundAtom& a = atoms[static_cast<size_t>(lit.atom)];
+        const hdt::NodeId m = dsl::EvalNodeExtractor(
+            tree, inner.driver.probe_is_lhs ? a.lhs_path : a.rhs_path,
+            tuple[static_cast<size_t>(inner.driver.probe_col)]);
+        // ⊥ on the bound side: the equality cannot hold.
+        cands[level] = m == hdt::kInvalidNode
+                           ? std::span<const hdt::NodeId>()
+                           : index[level].Find(tree, m);
+      }
       MITRA_COUNT("exec/rows/scanned", scanned);
       (void)scanned;  // the no-op build compiles the flush away
+      return st;
     };
 
     // The outermost level is split into contiguous candidate ranges
     // (chunks) enumerated on the pool; within a chunk the enumeration
     // order is the loop nest's, so concatenating the chunks in range
     // order gives the same tuple sequence at every pool size. A chunk
-    // drops tuples an earlier clause emitted (nothing writes `seen` while
-    // a clause enumerates). A clause never emits one tuple twice, since
-    // each level binds its own column from a duplicate-free candidate
-    // list, so a chunk's count is post-dedup, and a chunk that stops at
+    // appends its tuples to one arity-strided buffer and drops tuples an
+    // earlier clause emitted (nothing writes `seen` while a clause
+    // enumerates). A clause never emits one tuple twice, since each level
+    // binds its own column from a duplicate-free candidate list, so a
+    // chunk's count is post-dedup, and a chunk that stops at
     // max_output_rows + 1 tuples proves overflow.
     const size_t n0 =
         filtered[static_cast<size_t>(plan.levels[0].column)].size();
     const size_t num_chunks = std::min(n0, max_chunks);
-    std::vector<std::vector<dsl::NodeTuple>> chunk_out(num_chunks);
+    const bool check_seen = !seen.empty();
+    std::vector<std::vector<hdt::NodeId>> chunk_out(num_chunks);
     MITRA_RETURN_IF_ERROR(common::ParallelForStatus(
         opts.pool, num_chunks,
         [&](size_t c) -> Status {
-          std::vector<dsl::NodeTuple>& rows = chunk_out[c];
-          Status gov_status = Status::OK();
-          enumerate_range(
-              n0 * c / num_chunks, n0 * (c + 1) / num_chunks,
-              [&](const dsl::NodeTuple& t) {
-                if (seen.contains(t)) return true;
-                // Rows are charged in batches of 256 per chunk.
-                if (opts.governor != nullptr && (rows.size() & 0xFF) == 0) {
-                  Status s = opts.governor->ChargeRows(256, "exec/emit");
-                  if (!s.ok()) {
-                    gov_status = std::move(s);
-                    return false;
-                  }
+          const size_t first = n0 * c / num_chunks;
+          const size_t last = n0 * (c + 1) / num_chunks;
+          std::vector<hdt::NodeId>& ids = chunk_out[c];
+          // About one tuple per outermost candidate, as a join-driven
+          // table emits; more grows the buffer geometrically.
+          ids.reserve((last - first) * k);
+          uint64_t rows = 0;
+          uint64_t uncharged = 0;
+          Status charge = Status::OK();
+          Status st = enumerate_range(
+              first, last, [&](const dsl::NodeTuple& t) {
+                if (check_seen && seen.Contains(t)) return true;
+                ids.insert(ids.end(), t.begin(), t.end());
+                ++rows;
+                // Rows are charged 256 at a time, after they are emitted.
+                if (opts.governor != nullptr && ++uncharged == 256) {
+                  uncharged = 0;
+                  charge = opts.governor->ChargeRows(256, "exec/emit");
+                  if (!charge.ok()) return false;
                 }
-                rows.push_back(t);
-                return rows.size() <= opts.max_output_rows;
-              },
-              &gov_status);
-          MITRA_COUNT("exec/rows/emitted", rows.size());
-          return gov_status;
+                return rows <= opts.max_output_rows;
+              });
+          if (st.ok()) st = std::move(charge);
+          // The remainder, so the charge is the chunk's exact row count.
+          if (st.ok() && uncharged > 0) {
+            st = opts.governor->ChargeRows(uncharged, "exec/emit");
+          }
+          MITRA_COUNT("exec/rows/emitted", rows);
+          return st;
         },
         token));
 
-    uint64_t emitted = 0;
-    for (const std::vector<dsl::NodeTuple>& rows : chunk_out) {
-      emitted += rows.size();
+    size_t emitted = 0;
+    for (const std::vector<hdt::NodeId>& ids : chunk_out) {
+      emitted += ids.size() / k;
     }
     if (emitted > opts.max_output_rows) {
       return Status::ResourceExhausted("output exceeds max_output_rows");
     }
-    const bool last_clause = clause + 1 == clauses_.size();
-    for (std::vector<dsl::NodeTuple>& rows : chunk_out) {
-      if (!last_clause) seen.insert(rows.begin(), rows.end());
-      if (out.empty()) {
-        out = std::move(rows);
-      } else {
-        out.insert(out.end(), std::make_move_iterator(rows.begin()),
-                   std::make_move_iterator(rows.end()));
+    if (out.ids.empty() && num_chunks == 1) {
+      out.ids = std::move(chunk_out[0]);
+    } else {
+      out.ids.reserve(out.ids.size() + emitted * k);
+      for (const std::vector<hdt::NodeId>& ids : chunk_out) {
+        out.ids.insert(out.ids.end(), ids.begin(), ids.end());
       }
+    }
+    if (clause + 1 < clauses_.size()) {
+      // RowSet holds 32-bit row indices.
+      if (out.size() >= kNoSlot) {
+        return Status::ResourceExhausted(
+            "output exceeds the rows a later clause can drop duplicates of");
+      }
+      seen.Reset(out);
     }
   }
   return out;
@@ -451,11 +588,13 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
 
 Result<hdt::Table> OptimizedExecutor::Execute(
     const hdt::Hdt& tree, const ExecuteOptions& opts) const {
-  MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                         ExecuteNodes(tree, opts));
-  hdt::Table out(program_.columns.size());
-  for (const dsl::NodeTuple& t : tuples) {
-    MITRA_RETURN_IF_ERROR(out.AppendRow(dsl::ProjectData(tree, t)));
+  MITRA_ASSIGN_OR_RETURN(NodeTable nodes, ExecuteNodes(tree, opts));
+  hdt::Table out(nodes.arity);
+  size_t bytes = 0;
+  for (hdt::NodeId n : nodes.ids) bytes += tree.Data(n).size();
+  out.Reserve(nodes.size(), bytes);
+  for (size_t r = 0; r < nodes.size(); ++r) {
+    MITRA_RETURN_IF_ERROR(dsl::AppendProjectedRow(tree, nodes[r], &out));
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,12 @@
 ///    shared-prefix rewriting (both avoid enumerating pairs that violate
 ///    the equality; the hash index additionally works when the equated
 ///    extractors do not share a syntactic prefix).
+///
+/// Rows stay flat: the join index is an open-addressing slot table over
+/// one CSR array of candidates, the enumeration appends each tuple's ids
+/// to one arity-strided buffer per chunk (NodeTable), and Execute writes
+/// leaf bytes straight into the table's arena, so nothing is allocated per
+/// key, tuple or cell.
 ///
 /// Equivalence with the naive Fig.-7 evaluator is property-tested.
 
@@ -74,14 +81,35 @@ class ColumnCache {
   std::atomic<size_t> hits_{0};
 };
 
+/// The executor's output: node tuples of one arity, flat and row-major.
+/// Row r is `ids[r * arity, (r + 1) * arity)`: every row shares one
+/// buffer.
+struct NodeTable {
+  size_t arity = 0;
+  std::vector<hdt::NodeId> ids;
+
+  size_t size() const { return arity == 0 ? 0 : ids.size() / arity; }
+  bool empty() const { return ids.empty(); }
+  std::span<const hdt::NodeId> operator[](size_t r) const {
+    return {ids.data() + r * arity, arity};
+  }
+  /// The rows as separate tuples, for comparison with the Fig.-7 and
+  /// reference evaluators, which return `std::vector<dsl::NodeTuple>`.
+  std::vector<dsl::NodeTuple> ToTuples() const;
+
+  bool operator==(const NodeTable&) const = default;
+};
+
 struct ExecuteOptions {
   /// Safety cap on the rows one DNF clause emits (after dropping rows an
   /// earlier clause emitted).
   uint64_t max_output_rows = 100'000'000;
-  /// Optional resource governor: emitted rows are charged in batches and
-  /// the scan loops poll for cancellation/deadline every few thousand
-  /// iterations (bounded-latency checks, including on clauses that emit
-  /// nothing).
+  /// Optional resource governor: each chunk charges its emitted rows at
+  /// `exec/emit`, 256 after every 256 rows and the remainder when it
+  /// ends, so the charge is the exact row count at every pool size and a
+  /// runaway enumeration stops within 256 rows per chunk. The scan loops
+  /// poll for cancellation/deadline every few thousand iterations
+  /// (bounded-latency checks, including on clauses that emit nothing).
   common::Governor* governor = nullptr;
   /// Optional cross-program column cache (see ColumnCache); it must have
   /// been built for the executed tree. nullptr = a call-local cache.
@@ -99,11 +127,14 @@ class OptimizedExecutor {
  public:
   explicit OptimizedExecutor(const dsl::Program& program);
 
-  /// Runs the plan, returning surviving node tuples.
-  Result<std::vector<dsl::NodeTuple>> ExecuteNodes(
-      const hdt::Hdt& tree, const ExecuteOptions& opts = {}) const;
+  /// Runs the plan, returning the surviving node tuples in one flat
+  /// table: each clause's tuples in loop-nest order, a later clause's
+  /// without those an earlier clause emitted.
+  Result<NodeTable> ExecuteNodes(const hdt::Hdt& tree,
+                                 const ExecuteOptions& opts = {}) const;
 
-  /// Runs the plan, returning the data-projected table.
+  /// Runs the plan, returning the data-projected table: each tuple's
+  /// leaf bytes appended straight into the table's arena.
   Result<hdt::Table> Execute(const hdt::Hdt& tree,
                              const ExecuteOptions& opts = {}) const;
 

@@ -506,7 +506,7 @@ Result<std::vector<dsl::NodeTuple>> MatchRowSet(const hdt::Hdt& tree,
                          dsl::EvalProgramNodeTuples(tree, p, eval));
   hdt::Table got(p.columns.size());
   for (const dsl::NodeTuple& t : tuples) {
-    MITRA_RETURN_IF_ERROR(got.AppendRow(dsl::ProjectData(tree, t)));
+    MITRA_RETURN_IF_ERROR(dsl::AppendProjectedRow(tree, t, &got));
   }
   got.Dedup();
   got.SortRows();

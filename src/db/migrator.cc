@@ -46,23 +46,26 @@ std::string ProgramCacheKey(const hdt::Hdt& tree, const hdt::Table& example) {
   // authored once).
   h.Int(example.NumCols());
   h.Int(example.NumRows());
-  for (const hdt::Row& row : example.rows()) {
-    for (const std::string& cell : row) h.Bytes(cell);
+  for (hdt::RowView row : example.rows()) {
+    for (std::string_view cell : row) h.Bytes(cell);
   }
   return h.Hex();
 }
 
-std::string KeyOf(int doc_index, const dsl::NodeTuple& nodes) {
-  std::string key;
-  char digits[12];  // an int32 prints in at most 11 characters
-  auto append = [&](int32_t v) {
-    key.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
-  };
-  append(doc_index);
+char* WriteKey(char* p, int doc_index, std::span<const hdt::NodeId> nodes) {
+  // An int32 prints in at most 11 characters.
+  p = std::to_chars(p, p + 11, doc_index).ptr;
   for (hdt::NodeId n : nodes) {
-    key += '-';
-    append(n);
+    *p++ = '-';
+    p = std::to_chars(p, p + 11, n).ptr;
   }
+  return p;
+}
+
+std::string KeyOf(int doc_index, std::span<const hdt::NodeId> nodes) {
+  std::string key(MaxKeySize(nodes.size()), '\0');
+  key.resize(static_cast<size_t>(WriteKey(key.data(), doc_index, nodes) -
+                                 key.data()));
   return key;
 }
 
@@ -203,13 +206,13 @@ Result<hdt::Table> Migrator::BuildTable(
     const TableDef& t, const hdt::Hdt& doc, int doc_index,
     const core::ExecuteOptions& exec_opts) const {
   core::OptimizedExecutor exec(learned_.programs.at(t.name));
-  MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
+  MITRA_ASSIGN_OR_RETURN(core::NodeTable tuples,
                          exec.ExecuteNodes(doc, exec_opts));
 
   std::vector<std::string> names;
   names.reserve(t.columns.size());
   for (const ColumnDef& c : t.columns) names.push_back(c.name);
-  hdt::Table out(names);
+  hdt::Table out(std::move(names));
 
   // Each foreign-key column's plan, its extractors bound to this document
   // once.
@@ -218,47 +221,63 @@ Result<hdt::Table> Migrator::BuildTable(
     std::vector<dsl::BoundNodeExtractor> extractors;
   };
   std::vector<ForeignKey> fks(t.columns.size());
+  // The arena's size: the data cells' bytes exactly, each key at its
+  // longest (the spare is returned below).
+  size_t bytes = 0;
+  for (hdt::NodeId n : tuples.ids) bytes += doc.Data(n).size();
+  size_t key_bytes = 0;
+  size_t max_ref_arity = 0;
   for (size_t c = 0; c < t.columns.size(); ++c) {
+    if (t.columns[c].kind == ColumnKind::kPrimaryKey) {
+      key_bytes += MaxKeySize(tuples.arity);
+    }
     if (t.columns[c].kind != ColumnKind::kForeignKey) continue;
     fks[c].plan = &learned_.fk_plans.at(t.name).at(c);
     for (const dsl::NodeExtractor& e : fks[c].plan->extractors) {
       fks[c].extractors.push_back(dsl::BindNodeExtractor(doc, e));
     }
+    key_bytes += MaxKeySize(fks[c].extractors.size());
+    max_ref_arity = std::max(max_ref_arity, fks[c].extractors.size());
   }
-  for (const dsl::NodeTuple& tuple : tuples) {
-    hdt::Row row;
-    row.reserve(t.columns.size());
+  out.Reserve(tuples.size(), bytes + tuples.size() * key_bytes);
+  // The referenced row's node tuple, reused by every foreign-key probe.
+  std::vector<hdt::NodeId> ref(max_ref_arity);
+  for (size_t r = 0; r < tuples.size(); ++r) {
+    const std::span<const hdt::NodeId> tuple = tuples[r];
     size_t data_idx = 0;
     for (size_t c = 0; c < t.columns.size(); ++c) {
       switch (t.columns[c].kind) {
         case ColumnKind::kData:
-          row.emplace_back(doc.Data(tuple[data_idx++]));
+          out.AppendCell(doc.Data(tuple[data_idx++]));
           break;
         case ColumnKind::kPrimaryKey:
-          row.push_back(KeyOf(doc_index, tuple));
+          out.AppendCell(MaxKeySize(tuple.size()), [&](char* p) {
+            return WriteKey(p, doc_index, tuple);
+          });
           break;
         case ColumnKind::kForeignKey: {
           const ForeignKey& fk = fks[c];
-          dsl::NodeTuple ref_tuple;
-          ref_tuple.reserve(fk.extractors.size());
-          for (size_t j = 0; j < fk.extractors.size(); ++j) {
-            hdt::NodeId n = dsl::EvalNodeExtractor(
+          const size_t m = fk.extractors.size();
+          for (size_t j = 0; j < m; ++j) {
+            ref[j] = dsl::EvalNodeExtractor(
                 doc, fk.extractors[j],
                 tuple[static_cast<size_t>(fk.plan->source_cols[j])]);
-            if (n == hdt::kInvalidNode) {
+            if (ref[j] == hdt::kInvalidNode) {
               return Status::InvalidArgument(
                   "foreign-key extractor for " + t.name + "." +
                   t.columns[c].name + " failed (⊥) on the full document");
             }
-            ref_tuple.push_back(n);
           }
-          row.push_back(KeyOf(doc_index, ref_tuple));
+          out.AppendCell(MaxKeySize(m), [&](char* p) {
+            return WriteKey(p, doc_index, std::span(ref.data(), m));
+          });
           break;
         }
       }
     }
-    MITRA_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
+    MITRA_RETURN_IF_ERROR(out.EndRow());
   }
+  if (key_bytes > 0) out.ShrinkToFit();
   return out;
 }
 
@@ -677,8 +696,8 @@ void Migrator::RunLadder(const TableDef& t, const hdt::Hdt& tree,
     for (const dsl::NodeTuple& tuple : learned.tuples) {
       produced.insert(dsl::ProjectData(tree, tuple));
     }
-    for (const hdt::Row& want : example.rows()) {
-      if (produced.find(want) == produced.end()) {
+    for (hdt::RowView want : example.rows()) {
+      if (!produced.contains(want.ToRow())) {
         return Status::SynthesisFailure(
             "projection-only fallback for table " + t.name +
             " does not cover the example rows");

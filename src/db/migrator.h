@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,18 @@
 
 namespace mitra::db {
 
-/// The injective key function f over a row's node tuple.
-std::string KeyOf(int doc_index, const dsl::NodeTuple& nodes);
+/// The injective key function f over a row's node tuple: the document
+/// index and each node id in decimal, joined with '-' ("0-12-40").
+std::string KeyOf(int doc_index, std::span<const hdt::NodeId> nodes);
+
+/// The longest key over `n` nodes: an int32 prints in at most 11
+/// characters, and each node adds a '-'.
+constexpr size_t MaxKeySize(size_t n) { return 11 + 12 * n; }
+
+/// Writes KeyOf's bytes at `p`, which has room for MaxKeySize(nodes.size())
+/// bytes, and returns their end; Migrator::BuildTable formats keys
+/// straight into a table's arena this way.
+char* WriteKey(char* p, int doc_index, std::span<const hdt::NodeId> nodes);
 
 /// One learned foreign-key generator: for each component of the
 /// referenced table's node tuple, which source column to start from and

@@ -1,6 +1,7 @@
 #include "db/schema.h"
 
 #include <set>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -124,11 +125,13 @@ size_t Database::TotalRows() const {
 }
 
 Status CheckPrimaryKeyUnique(const hdt::Table& table, size_t pk_col) {
-  std::unordered_set<std::string> seen;
-  for (const hdt::Row& r : table.rows()) {
-    if (!seen.insert(r[pk_col]).second) {
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(table.NumRows());
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const std::string_view key = table.cell(r, pk_col);
+    if (!seen.insert(key).second) {
       return Status::InvalidArgument("duplicate primary key value: " +
-                                     r[pk_col]);
+                                     std::string(key));
     }
   }
   return Status::OK();
@@ -137,12 +140,16 @@ Status CheckPrimaryKeyUnique(const hdt::Table& table, size_t pk_col) {
 Status CheckForeignKeyIntegrity(const hdt::Table& table, size_t fk_col,
                                 const hdt::Table& referenced,
                                 size_t pk_col) {
-  std::unordered_set<std::string> keys;
-  for (const hdt::Row& r : referenced.rows()) keys.insert(r[pk_col]);
-  for (const hdt::Row& r : table.rows()) {
-    if (!keys.count(r[fk_col])) {
+  std::unordered_set<std::string_view> keys;
+  keys.reserve(referenced.NumRows());
+  for (size_t r = 0; r < referenced.NumRows(); ++r) {
+    keys.insert(referenced.cell(r, pk_col));
+  }
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const std::string_view key = table.cell(r, fk_col);
+    if (!keys.contains(key)) {
       return Status::InvalidArgument("dangling foreign key value: " +
-                                     r[fk_col]);
+                                     std::string(key));
     }
   }
   return Status::OK();

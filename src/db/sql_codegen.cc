@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 
 namespace mitra::db {
 
@@ -53,15 +54,21 @@ std::string Ident(const std::string& name, char q) {
   return std::string(1, q) + name + std::string(1, q);
 }
 
+/// Appends `value` as a single-quoted SQL string literal.
+void AppendSqlQuoted(std::string* out, std::string_view value) {
+  out->push_back('\'');
+  for (char c : value) {
+    if (c == '\'') out->push_back('\'');
+    out->push_back(c);
+  }
+  out->push_back('\'');
+}
+
 }  // namespace
 
-std::string SqlQuote(const std::string& value) {
-  std::string out = "'";
-  for (char c : value) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
-  }
-  out += "'";
+std::string SqlQuote(std::string_view value) {
+  std::string out;
+  AppendSqlQuoted(&out, value);
   return out;
 }
 
@@ -133,10 +140,9 @@ Result<std::string> GenerateSqlInserts(const DatabaseSchema& schema,
       size_t end = std::min(table.NumRows(), r + batch);
       for (size_t i = r; i < end; ++i) {
         out += "  (";
-        const hdt::Row& row = table.row(i);
-        for (size_t c = 0; c < row.size(); ++c) {
+        for (size_t c = 0; c < table.NumCols(); ++c) {
           if (c > 0) out += ", ";
-          out += SqlQuote(row[c]);
+          AppendSqlQuoted(&out, table.cell(i, c));
         }
         out += i + 1 < end ? "),\n" : ");\n";
       }

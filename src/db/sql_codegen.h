@@ -2,6 +2,7 @@
 #define MITRA_DB_SQL_CODEGEN_H_
 
 #include <string>
+#include <string_view>
 
 #include "db/schema.h"
 
@@ -38,7 +39,7 @@ Result<std::string> GenerateSqlInserts(const DatabaseSchema& schema,
                                        const SqlOptions& opts = {});
 
 /// Escapes a value as a single-quoted SQL string literal.
-std::string SqlQuote(const std::string& value);
+std::string SqlQuote(std::string_view value);
 
 }  // namespace mitra::db
 

@@ -311,13 +311,19 @@ hdt::Row ProjectData(const hdt::Hdt& tree, const NodeTuple& t) {
   return row;
 }
 
+Status AppendProjectedRow(const hdt::Hdt& tree,
+                          std::span<const hdt::NodeId> t, hdt::Table* out) {
+  for (hdt::NodeId n : t) out->AppendCell(tree.Data(n));
+  return out->EndRow();
+}
+
 Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
                                const EvalOptions& opts) {
   MITRA_ASSIGN_OR_RETURN(std::vector<NodeTuple> tuples,
                          EvalProgramNodeTuples(tree, p, opts));
   hdt::Table out(p.columns.size());
   for (const NodeTuple& t : tuples) {
-    MITRA_RETURN_IF_ERROR(out.AppendRow(ProjectData(tree, t)));
+    MITRA_RETURN_IF_ERROR(AppendProjectedRow(tree, t, &out));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 #define MITRA_DSL_EVAL_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/governor.h"
@@ -132,6 +133,12 @@ Result<std::vector<NodeTuple>> EvalCrossProduct(
 
 /// Projects node tuples to their data strings (nil data → empty string).
 hdt::Row ProjectData(const hdt::Hdt& tree, const NodeTuple& t);
+
+/// Appends `t`'s data projection to `out` as one row, each node's leaf
+/// bytes copied straight into the table's arena (nil data → empty cell):
+/// ProjectData without the owned row.
+Status AppendProjectedRow(const hdt::Hdt& tree,
+                          std::span<const hdt::NodeId> t, hdt::Table* out);
 
 }  // namespace mitra::dsl
 

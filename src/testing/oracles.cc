@@ -122,7 +122,7 @@ CheckResult CheckExecutionEquivalence(const hdt::Hdt& tree,
                              CaseHeader(tree, program) + seq.status().ToString());
   }
   r = CompareTupleSets(tree, program, "reference", ref_sorted,
-                       "optimized(seq)", Sorted(*seq));
+                       "optimized(seq)", Sorted(seq->ToTuples()));
   if (!r.ok) return r;
 
   if (pool != nullptr) {
@@ -138,8 +138,9 @@ CheckResult CheckExecutionEquivalence(const hdt::Hdt& tree,
     if (*par != *seq) {
       return CheckResult::Fail(
           "pooled tuple sequence differs from sequential\n" +
-          CaseHeader(tree, program) + "sequential:\n" + DumpTuples(*seq) +
-          "pooled:\n" + DumpTuples(*par));
+          CaseHeader(tree, program) + "sequential:\n" +
+          DumpTuples(seq->ToTuples()) + "pooled:\n" +
+          DumpTuples(par->ToTuples()));
     }
   }
 
@@ -157,8 +158,8 @@ CheckResult CheckExecutionEquivalence(const hdt::Hdt& tree,
       return CheckResult::Fail(
           "column-cached run " + std::to_string(round) +
           " differs from sequential\n" + CaseHeader(tree, program) +
-          "sequential:\n" + DumpTuples(*seq) + "cached:\n" +
-          DumpTuples(*cached));
+          "sequential:\n" + DumpTuples(seq->ToTuples()) + "cached:\n" +
+          DumpTuples(cached->ToTuples()));
     }
   }
 
@@ -171,7 +172,7 @@ CheckResult CheckExecutionEquivalence(const hdt::Hdt& tree,
                              CaseHeader(tree, program));
   }
   auto sorted_rows = [](const hdt::Table& t) {
-    std::vector<hdt::Row> rows = t.rows();
+    std::vector<hdt::Row> rows = t.rows().ToRows();
     std::sort(rows.begin(), rows.end());
     return rows;
   };
@@ -278,8 +279,8 @@ CheckResult CheckSynthesisSoundness(const hdt::Hdt& tree,
   hdt::Table want = std::move(derived).value();
   want.Dedup();
   if (want.NumRows() > 24) return CheckResult::Skip();
-  for (const hdt::Row& row : want.rows()) {
-    for (const std::string& cell : row) {
+  for (hdt::RowView row : want.rows()) {
+    for (std::string_view cell : row) {
       if (cell.empty()) return CheckResult::Skip();  // nil-data projection
     }
   }
@@ -334,8 +335,8 @@ CheckResult CheckSynthesisSoundness(const hdt::Hdt& tree,
   hdt::Table want2 = std::move(derived2).value();
   want2.Dedup();
   if (want2.NumRows() > 48) return CheckResult::Pass();
-  for (const hdt::Row& row : want2.rows()) {
-    for (const std::string& cell : row) {
+  for (hdt::RowView row : want2.rows()) {
+    for (std::string_view cell : row) {
       if (cell.empty()) return CheckResult::Pass();
     }
   }

@@ -129,10 +129,16 @@ TEST(Schema, AcceptsPlainTableNames) {
 }
 
 TEST(KeyGen, InjectiveOverNodeTuples) {
-  EXPECT_NE(KeyOf(0, {1, 2}), KeyOf(0, {12}));
-  EXPECT_NE(KeyOf(0, {1, 2}), KeyOf(0, {1, 3}));
-  EXPECT_NE(KeyOf(0, {1, 2}), KeyOf(1, {1, 2}));
-  EXPECT_EQ(KeyOf(2, {7, 9}), KeyOf(2, {7, 9}));
+  using T = dsl::NodeTuple;
+  EXPECT_NE(KeyOf(0, T{1, 2}), KeyOf(0, T{12}));
+  EXPECT_NE(KeyOf(0, T{1, 2}), KeyOf(0, T{1, 3}));
+  EXPECT_NE(KeyOf(0, T{1, 2}), KeyOf(1, T{1, 2}));
+  EXPECT_EQ(KeyOf(2, T{7, 9}), KeyOf(2, T{7, 9}));
+  // The bytes: the document index and the ids in decimal, '-'-joined.
+  EXPECT_EQ(KeyOf(0, T{12, 40}), "0-12-40");
+  EXPECT_EQ(KeyOf(-2147483647 - 1, T{0, 2147483647}),
+            "-2147483648-0-2147483647");
+  EXPECT_EQ(KeyOf(7, T{}), "7");
 }
 
 TEST(Migrator, LearnsAndMigratesWithKeys) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/governor.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "dsl/eval.h"
@@ -459,7 +461,7 @@ TEST(OptimizedExecutor, OverlappingClausesAgreeAtEveryPoolSize) {
   // A cap of 9 lies between clause 2's post-dedup (8) and pre-dedup (14)
   // counts; a cap of 7 lies below its post-dedup count.
   for (uint64_t cap : {9u, 7u}) {
-    std::optional<Result<std::vector<dsl::NodeTuple>>> base;
+    std::optional<Result<NodeTable>> base;
     for (common::ThreadPool* pool :
          {static_cast<common::ThreadPool*>(nullptr), &pool1, &pool4,
           &pool8}) {
@@ -487,6 +489,152 @@ TEST(OptimizedExecutor, OverlappingClausesAgreeAtEveryPoolSize) {
       }
     }
   }
+}
+
+/// The program `a = b` over the leaves tagged `a` and `b`: one hash-join
+/// level whose index holds every `b` leaf.
+Program LeafJoin() {
+  Program p;
+  p.columns = {ColumnExtractor{{{ColOp::kDescendants, "a", 0}}},
+               ColumnExtractor{{{ColOp::kDescendants, "b", 0}}}};
+  Atom eq;
+  eq.lhs_col = 0;
+  eq.op = CmpOp::kEq;
+  eq.rhs_col = 1;
+  p.atoms = {eq};
+  p.formula = Dnf{{{Literal{0, false}}}};
+  return p;
+}
+
+/// A root with `a` leaves holding `as` and `b` leaves holding `bs`.
+hdt::Hdt LeafDoc(const std::vector<std::string>& as,
+                 const std::vector<std::string>& bs) {
+  hdt::HdtBuilder builder;
+  const hdt::NodeId root = builder.AddRoot("r");
+  for (const std::string& v : as) builder.AddChild(root, "a", v);
+  for (const std::string& v : bs) builder.AddChild(root, "b", v);
+  return builder.Finish();
+}
+
+/// ExecuteNodes holds the reference evaluator's tuples, and the same
+/// sequence with no pool and on 1-, 4- and 8-thread pools; Execute
+/// projects the reference's rows.
+void ExpectJoinMatchesReferenceAtEveryPoolSize(const hdt::Hdt& tree,
+                                               const Program& p,
+                                               size_t want_rows) {
+  auto want = dsl::ReferenceEvalProgramNodeTuples(tree, p);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  std::vector<dsl::NodeTuple> want_sorted = std::move(want).value();
+  std::sort(want_sorted.begin(), want_sorted.end());
+  ASSERT_EQ(want_sorted.size(), want_rows);
+
+  OptimizedExecutor exec(p);
+  common::ThreadPool pool1(1), pool4(4), pool8(8);
+  std::optional<NodeTable> base;
+  for (common::ThreadPool* pool :
+       {static_cast<common::ThreadPool*>(nullptr), &pool1, &pool4, &pool8}) {
+    const size_t threads = pool != nullptr ? pool->size() : 0;
+    ExecuteOptions opts;
+    opts.pool = pool;
+    auto got = exec.ExecuteNodes(tree, opts);
+    ASSERT_TRUE(got.ok()) << threads << ": " << got.status().ToString();
+    EXPECT_EQ(got->arity, 2u);
+    std::vector<dsl::NodeTuple> tuples = got->ToTuples();
+    std::sort(tuples.begin(), tuples.end());
+    EXPECT_EQ(tuples, want_sorted) << threads << " threads";
+    if (!base) {
+      base = std::move(got).value();
+    } else {
+      EXPECT_EQ(*got, *base) << threads << " threads";
+    }
+  }
+  auto want_table = dsl::ReferenceEvalProgram(tree, p);
+  auto got_table = exec.Execute(tree);
+  ASSERT_TRUE(want_table.ok() && got_table.ok());
+  want_table->SortRows();
+  got_table->SortRows();
+  EXPECT_EQ(got_table->rows(), want_table->rows());
+}
+
+TEST(OptimizedExecutor, JoinOnOneKeySharedByEveryCandidate) {
+  // Every `b` leaf keys as the number 7, so the index is one group of
+  // 2000 candidates and every (a, b) pair joins.
+  std::vector<std::string> as(50, "7"), bs;
+  for (int i = 0; i < 2000; ++i) bs.push_back(i % 2 == 0 ? "7" : "7.0");
+  ExpectJoinMatchesReferenceAtEveryPoolSize(LeafDoc(as, bs), LeafJoin(),
+                                            50 * 2000);
+}
+
+TEST(OptimizedExecutor, JoinOverMoreThan65536DistinctKeys) {
+  // 70 000 distinct keys, numbers and dictionary strings alternating, so
+  // the slot table is large and sparse groups are one candidate long.
+  std::vector<std::string> bs;
+  for (int i = 0; i < 70'000; ++i) {
+    bs.push_back(i % 2 == 0 ? std::to_string(i) : "k" + std::to_string(i));
+  }
+  const std::vector<std::string> as{"4", "k69999", "nope", "4.0", "69998",
+                                    "-0", "0"};
+  // "4" and "4.0" meet b = "4"; "-0" and "0" meet b = "0".
+  ExpectJoinMatchesReferenceAtEveryPoolSize(LeafDoc(as, bs), LeafJoin(), 6);
+}
+
+TEST(OptimizedExecutor, EmitChargeIsTheRowCountAtEveryPoolSize) {
+  // One clause, 300 rows: the exec/emit charge is the exact row count at
+  // every pool size, so the budget decision does not depend on it.
+  std::vector<std::string> as;
+  for (int i = 0; i < 300; ++i) as.push_back(std::to_string(i));
+  const hdt::Hdt t = LeafDoc(as, {});
+  Program p;
+  p.columns = {ColumnExtractor{{{ColOp::kDescendants, "a", 0}}}};
+  p.formula = Dnf::True();
+  OptimizedExecutor exec(p);
+  common::ThreadPool pool1(1), pool4(4), pool8(8);
+  for (common::ThreadPool* pool :
+       {static_cast<common::ThreadPool*>(nullptr), &pool1, &pool4, &pool8}) {
+    const std::string what =
+        std::to_string(pool != nullptr ? pool->size() : 0) + " threads";
+    for (uint64_t max_rows : {1000u, 300u, 299u}) {
+      common::ResourceLimits limits;
+      limits.max_rows = max_rows;
+      common::Governor gov(limits);
+      ExecuteOptions opts;
+      opts.pool = pool;
+      opts.governor = &gov;
+      auto got = exec.ExecuteNodes(t, opts);
+      if (max_rows >= 300) {
+        ASSERT_TRUE(got.ok()) << what << ", max_rows " << max_rows << ": "
+                              << got.status().ToString();
+        EXPECT_EQ(got->size(), 300u) << what;
+        EXPECT_EQ(gov.Usage().rows, 300u) << what;
+      } else {
+        ASSERT_FALSE(got.ok()) << what;
+        EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+        EXPECT_EQ(got.status().message(),
+                  "row budget exceeded at exec/emit")
+            << what;
+      }
+    }
+  }
+}
+
+TEST(OptimizedExecutor, RunawayEnumerationStopsWithinAChunkOf256Rows) {
+  // 2000 × 2000 rows under a budget of 10: the first 256-row charge of
+  // the one chunk trips it, long before the cross product is built.
+  std::vector<std::string> vs(2000, "v");
+  const hdt::Hdt t = LeafDoc(vs, vs);
+  Program p;
+  p.columns = {ColumnExtractor{{{ColOp::kDescendants, "a", 0}}},
+               ColumnExtractor{{{ColOp::kDescendants, "b", 0}}}};
+  p.formula = Dnf::True();
+  common::ResourceLimits limits;
+  limits.max_rows = 10;
+  common::Governor gov(limits);
+  ExecuteOptions opts;
+  opts.governor = &gov;
+  auto got = OptimizedExecutor(p).ExecuteNodes(t, opts);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().message(), "row budget exceeded at exec/emit");
+  EXPECT_EQ(gov.Usage().rows, 256u);
 }
 
 TEST(ColumnCacheTest, SharesExtractionsAcrossPrograms) {

@@ -173,7 +173,7 @@ void ExpectNavigationMatchesNaive(const Hdt& t) {
 /// Rows as a sorted multiset: the optimized executor may emit the naive
 /// evaluator's rows in another order.
 std::vector<hdt::Row> SortedRows(const hdt::Table& t) {
-  std::vector<hdt::Row> rows = t.rows();
+  std::vector<hdt::Row> rows = t.rows().ToRows();
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -328,6 +328,7 @@ TEST(IndexEquivalence, GovernorFiresInIndexedScan) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
       << result.status().ToString();
+  EXPECT_EQ(result.status().message(), "row budget exceeded at exec/emit");
   EXPECT_GT(gov.Usage().checks, 0u);
 }
 

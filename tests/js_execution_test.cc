@@ -114,7 +114,7 @@ TEST_P(JsExecutionTest, NodeAgreesWithNativeExecutor) {
   auto native = core::ExecuteOptimized(tree, result->program);
   ASSERT_TRUE(native.ok());
 
-  EXPECT_EQ(SortedSet(js_rows), SortedSet(native->rows()))
+  EXPECT_EQ(SortedSet(js_rows), SortedSet(native->rows().ToRows()))
       << "generated JS disagrees with native executor\nJS output: "
       << output;
 }
@@ -164,7 +164,8 @@ TEST(JsCodegen, QuotedConstantsAgreeWithNativeExecutor) {
     auto native = core::ExecuteOptimized(tree, p);
     ASSERT_TRUE(native.ok());
     ASSERT_EQ(native->rows(), std::vector<hdt::Row>{{constant}});
-    EXPECT_EQ(SortedSet(ParseRowsJson(output)), SortedSet(native->rows()))
+    EXPECT_EQ(SortedSet(ParseRowsJson(output)),
+              SortedSet(native->rows().ToRows()))
         << constant << "\nJS output: " << output;
   }
 }

@@ -249,6 +249,9 @@ TEST(MigrationReport, ExecuteFailureIsRecordedPerTable) {
   for (const TableReport& t : report->tables) {
     EXPECT_EQ(t.outcome, TableOutcome::kFailed) << t.table;
     EXPECT_EQ(t.status.code(), StatusCode::kResourceExhausted) << t.table;
+    // The row budget, charged the table's exact row count.
+    EXPECT_EQ(t.status.message(), "row budget exceeded at exec/emit")
+        << t.table;
     ASSERT_FALSE(t.retry_trail.empty());
     EXPECT_EQ(t.retry_trail.back().rfind("execute: ", 0), 0u);
   }
@@ -273,9 +276,9 @@ TEST(MigrationReport, ExecuteUnderStarvingLimitsFailsOnTheFirstTable) {
     ASSERT_FALSE(db.ok());
     EXPECT_EQ(db.status().code(), StatusCode::kResourceExhausted)
         << db.status().ToString();
-    EXPECT_EQ(db.status().message().rfind("execution failed for table papers: ",
-                                          0),
-              0u)
+    EXPECT_EQ(db.status().message(),
+              "execution failed for table papers: row budget exceeded at "
+              "exec/emit")
         << db.status().ToString();
   }
 }

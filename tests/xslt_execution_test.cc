@@ -45,7 +45,8 @@ TEST_P(XsltExecutionTest, InterpreterAgreesWithNativeExecutor) {
 
   auto native = core::ExecuteOptimized(tree, result->program);
   ASSERT_TRUE(native.ok());
-  EXPECT_EQ(SortedSet(via_xslt->rows()), SortedSet(native->rows()))
+  EXPECT_EQ(SortedSet(via_xslt->rows().ToRows()),
+            SortedSet(native->rows().ToRows()))
       << "stylesheet:\n"
       << stylesheet;
 }
@@ -127,7 +128,8 @@ TEST(XsltInterpreter, QuotedConstantsAgreeWithNativeExecutor) {
       auto native = core::ExecuteOptimized(tree, p);
       ASSERT_TRUE(native.ok());
       EXPECT_EQ(native->NumRows(), op == dsl::CmpOp::kEq ? 1u : 6u);
-      EXPECT_EQ(SortedSet(via_xslt->rows()), SortedSet(native->rows()))
+      EXPECT_EQ(SortedSet(via_xslt->rows().ToRows()),
+                SortedSet(native->rows().ToRows()))
           << "stylesheet:\n" << stylesheet;
     }
   }
